@@ -27,10 +27,8 @@ fn main() {
         &[Method::Lmi, Method::Proposed, Method::Weierstrass],
     );
     let result = run_sweep(&SweepSpec {
-        tasks,
-        threads,
         sample_violations: false,
-        task_ids: None,
+        ..SweepSpec::new(tasks, threads)
     });
     let mut seconds: HashMap<(usize, &str), f64> = HashMap::new();
     for record in &result.records {

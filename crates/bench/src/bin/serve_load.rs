@@ -2,8 +2,7 @@
 //!
 //! Replays the committed `examples/decks/` corpus against a daemon at
 //! increasing client concurrency and records per-level p50/p99 latency,
-//! throughput, and cache-hit rate into one machine-readable artifact — the
-//! serving-layer companion of `perf_baseline`'s kernel numbers.
+//! throughput, and cache-hit rate into one machine-readable artifact.
 //!
 //! By default the daemon is self-hosted in-process on an ephemeral port (the
 //! exact server the `ds-serve` binary runs); `--addr` points the generator at

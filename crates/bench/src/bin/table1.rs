@@ -30,10 +30,8 @@ fn main() {
         &[Method::Lmi, Method::Proposed, Method::Weierstrass],
     );
     let result = run_sweep(&SweepSpec {
-        tasks,
-        threads,
         sample_violations: false,
-        task_ids: None,
+        ..SweepSpec::new(tasks, threads)
     });
 
     // (order, method) → (elapsed, agrees)

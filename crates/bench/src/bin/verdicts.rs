@@ -36,12 +36,7 @@ fn main() {
     }
 
     let tasks = scenario_matrix(&scenarios, &Method::ALL);
-    let result = run_sweep(&SweepSpec {
-        tasks: tasks.clone(),
-        threads,
-        sample_violations: true,
-        task_ids: None,
-    });
+    let result = run_sweep(&SweepSpec::new(tasks.clone(), threads));
 
     // Group records back by scenario via their task index.
     let mut by_scenario: HashMap<usize, Vec<&SweepRecord>> = HashMap::new();

@@ -1,80 +1,22 @@
 //! # ds-bench
 //!
-//! Benchmark harness that regenerates the evaluation artifacts of the DAC 2006
-//! paper (Table 1 and Figure 2) plus the ablations called out in `DESIGN.md`.
-//!
-//! * Criterion benches (`benches/`) give statistically solid timings for the
-//!   small and medium orders.
-//! * Binaries (`src/bin/`) sweep the full order range of the paper (20–400)
-//!   and print the same rows/series the paper reports (`table1`, `fig2`,
-//!   `stage_profile`, `verdicts`).  Since PR 2 they run on top of the
-//!   [`ds_harness`] parallel sweep engine, so the paper artifacts and the
-//!   production-scale sweeps share one code path; method dispatch
-//!   ([`Method`], [`run_method`], [`LMI_MAX_ORDER`]) moved to `ds-harness`
-//!   and is re-exported here for compatibility.
+//! Binaries that regenerate the evaluation artifacts of the DAC 2006 paper
+//! on the [`ds_harness`] parallel sweep engine — `table1` (Table 1 CPU
+//! times), `fig2` (Figure 2 scaling curves) and `verdicts` (the agreement
+//! matrix of the three tests) — plus the `serve_load` daemon load
+//! generator.  Per-stage and per-layer timings come from the repository
+//! benchmark (`perfbench/`), which times the proposed test's stages
+//! through their public entry points.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use ds_circuits::generators::{self, CircuitModel};
-use ds_circuits::CircuitError;
-use ds_passivity_suite::{PassivityCheck, SuiteError};
 use std::time::Duration;
 
-pub use ds_harness::{run_method, Method, LMI_MAX_ORDER};
+pub use ds_harness::{Method, LMI_MAX_ORDER};
 
 /// The model orders used in the paper's Table 1.
 pub const TABLE1_ORDERS: &[usize] = &[20, 40, 60, 80, 100, 200, 400];
-
-/// Builds the Table-1 workload for a given order: a passive RLC ladder with
-/// impulsive modes (the port is fed through a series inductor).
-///
-/// # Errors
-///
-/// Propagates generator errors (invalid orders).
-pub fn table1_model(order: usize) -> Result<CircuitModel, CircuitError> {
-    generators::rlc_ladder_with_impulsive(order)
-}
-
-/// A single timed run of one method on one model.
-#[derive(Debug, Clone)]
-pub struct TimedRun {
-    /// Which method was run.
-    pub method: Method,
-    /// Model order.
-    pub order: usize,
-    /// Wall-clock time of the run.
-    pub elapsed: Duration,
-    /// Whether the verdict matched the model's ground truth.
-    pub verdict_correct: bool,
-}
-
-/// Times one method on one model through the unified [`PassivityCheck`]
-/// pipeline — the same entry point `ds-sweep` and the `ds-serve` daemon use,
-/// so benchmark timings measure the path production verdicts actually take.
-///
-/// # Errors
-///
-/// Propagates structural test failures (a method error recorded in the
-/// outcome is lifted back into an error here: a benchmark row without a
-/// verdict is meaningless).
-pub fn time_method(method: Method, model: &CircuitModel) -> Result<TimedRun, SuiteError> {
-    let outcome = PassivityCheck::model(model.clone()).method(method).run()?;
-    if outcome.passive.is_none() {
-        return Err(SuiteError::Harness(format!(
-            "{} failed on {}: {}",
-            method.name(),
-            outcome.name,
-            outcome.reason
-        )));
-    }
-    Ok(TimedRun {
-        method,
-        order: outcome.order,
-        elapsed: outcome.elapsed,
-        verdict_correct: outcome.agrees == Some(true),
-    })
-}
 
 /// Formats a duration in seconds with millisecond resolution, or `"n/a"`.
 pub fn format_seconds(value: Option<Duration>) -> String {
@@ -109,30 +51,6 @@ pub fn threads_from_args() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table1_models_have_requested_orders() {
-        for &order in &[20usize, 40] {
-            let model = table1_model(order).unwrap();
-            assert_eq!(model.system.order(), order);
-            assert!(model.expected_passive);
-            assert!(model.has_impulsive_modes);
-        }
-    }
-
-    #[test]
-    fn all_methods_agree_on_a_small_model() {
-        let model = table1_model(20).unwrap();
-        for method in [Method::Proposed, Method::Weierstrass, Method::Lmi] {
-            let run = time_method(method, &model).unwrap();
-            assert!(
-                run.verdict_correct,
-                "{} gave the wrong verdict",
-                method.name()
-            );
-            assert_eq!(run.order, 20);
-        }
-    }
 
     #[test]
     fn formatting_helpers() {

@@ -19,8 +19,8 @@
 //! * [`weierstrass_test`] — the Weierstrass-decomposition baseline the paper
 //!   compares against.
 //! * [`lmi_test`] — the extended-LMI baseline (Freund–Jarre, paper eq. (4)).
-//! * [`report`] — verdicts, per-stage diagnostics and timings shared by all
-//!   three tests.
+//! * [`report`] — verdicts and per-stage diagnostics shared by all three
+//!   tests.  The proposed test times its stages with `ds-obs` spans.
 //!
 //! ## Quick start
 //!

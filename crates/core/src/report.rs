@@ -1,8 +1,7 @@
-//! Verdicts, diagnostics and timing reports shared by all passivity tests.
+//! Verdicts and diagnostics shared by all passivity tests.
 
 use ds_linalg::Matrix;
 use std::fmt;
-use std::time::Duration;
 
 /// Why a system was declared non-passive.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,40 +106,6 @@ impl fmt::Display for PassivityVerdict {
     }
 }
 
-/// Wall-clock timing of the stages of the proposed test (used by the ablation
-/// and profiling benchmarks, EXP-A2 in DESIGN.md).
-#[derive(Debug, Clone, Default)]
-pub struct StageTimings {
-    /// Building `Φ(s)` and the SHH pencil.
-    pub build_phi: Duration,
-    /// Removing impulse-unobservable/uncontrollable modes (eqs. (11)–(17)).
-    pub impulse_removal: Duration,
-    /// Removing nondynamic modes and restoring the SHH structure
-    /// (eqs. (18)–(20)).
-    pub nondynamic_removal: Duration,
-    /// `M₁` extraction and definiteness check (eqs. (24)–(25)).
-    pub residue_extraction: Duration,
-    /// PVL reduction and conversion to a regular pencil (eq. (21)).
-    pub regularization: Duration,
-    /// Stable/antistable splitting and Lyapunov decoupling (eqs. (22)–(23)).
-    pub spectral_split: Duration,
-    /// Final positive-realness test of the proper part.
-    pub positive_real_test: Duration,
-}
-
-impl StageTimings {
-    /// Total time across all stages.
-    pub fn total(&self) -> Duration {
-        self.build_phi
-            + self.impulse_removal
-            + self.nondynamic_removal
-            + self.residue_extraction
-            + self.regularization
-            + self.spectral_split
-            + self.positive_real_test
-    }
-}
-
 /// Structural diagnostics gathered along the proposed test.
 #[derive(Debug, Clone, Default)]
 pub struct ReductionDiagnostics {
@@ -177,8 +142,6 @@ pub struct PassivityReport {
     pub proper_part: Option<ds_descriptor::StateSpace>,
     /// Structural diagnostics (meaningful for the proposed test).
     pub diagnostics: ReductionDiagnostics,
-    /// Per-stage wall-clock timings.
-    pub timings: StageTimings,
 }
 
 impl PassivityReport {
@@ -190,7 +153,6 @@ impl PassivityReport {
             m1: None,
             proper_part: None,
             diagnostics: ReductionDiagnostics::default(),
-            timings: StageTimings::default(),
         }
     }
 }
@@ -242,16 +204,6 @@ mod tests {
             min_eigenvalue: -0.1,
         };
         assert!(reason.to_string().contains("ω"));
-    }
-
-    #[test]
-    fn timings_total() {
-        let t = StageTimings {
-            build_phi: Duration::from_millis(3),
-            spectral_split: Duration::from_millis(7),
-            ..Default::default()
-        };
-        assert_eq!(t.total(), Duration::from_millis(10));
     }
 
     #[test]

@@ -450,10 +450,15 @@ mod tests {
             Scenario::new(FamilyKind::NonpassiveLadder, 6),
             Scenario::new(FamilyKind::PerturbedBoundary, 4).with_margin(0.5),
         ];
-        run_sweep(&SweepSpec::new(
-            scenario_matrix(&scenarios, &[Method::Proposed, Method::Weierstrass]),
-            2,
-        ))
+        // Traced, so the volatile span trees are populated for the
+        // exclusion tests below.
+        run_sweep(&SweepSpec {
+            trace: true,
+            ..SweepSpec::new(
+                scenario_matrix(&scenarios, &[Method::Proposed, Method::Weierstrass]),
+                2,
+            )
+        })
     }
 
     #[test]

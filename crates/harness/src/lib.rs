@@ -8,8 +8,9 @@
 //! aggregates per-family verdict/timing summaries.
 //!
 //! The paper's Table 1 / Figure 2 binaries in `ds-bench` run on top of this
-//! engine, so the paper artifacts and the production-scale sweeps share one
-//! code path.
+//! engine, whose workers run every task through [`check`], the check the
+//! `CheckRequest` API runs for every source: paper artifacts, sweeps and
+//! served verdicts share one code path.
 //!
 //! For 10⁵-scenario ensembles the [`store`] module adds the second level of
 //! parallelism: deterministic `--shard i/m` task partitioning across
@@ -45,6 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod artifacts;
+pub mod check;
 pub mod golden;
 pub mod json;
 pub mod method;
@@ -57,6 +59,7 @@ pub mod sync;
 pub use artifacts::{
     render_csv, render_jsonl, render_segment_jsonl, validate_csv, validate_jsonl, SweepSummary,
 };
+pub use check::{BuildError, Check, Subject};
 pub use method::{run_method, Method, LMI_MAX_ORDER};
 pub use reduce::{build_reduced, reduce_netlist, ReductionStats};
 pub use scenario::{
@@ -64,9 +67,7 @@ pub use scenario::{
     ScenarioKey, SweepTask,
 };
 pub use store::{record_fingerprint, shard_tasks, task_fingerprint, ResultStore};
-pub use sweep::{
-    run_single, run_sweep, run_sweep_with_progress, SweepRecord, SweepResult, SweepSpec,
-};
+pub use sweep::{run_sweep, run_sweep_with_progress, SweepRecord, SweepResult, SweepSpec};
 pub use sync::{lock_infallible, wait_timeout_infallible};
 
 /// Convenient glob import for downstream crates.
@@ -80,6 +81,6 @@ pub mod prelude {
     };
     pub use crate::store::{record_fingerprint, shard_tasks, task_fingerprint, ResultStore};
     pub use crate::sweep::{
-        run_single, run_sweep, run_sweep_with_progress, SweepRecord, SweepResult, SweepSpec,
+        run_sweep, run_sweep_with_progress, SweepRecord, SweepResult, SweepSpec,
     };
 }

@@ -9,9 +9,11 @@
 //!
 //! [`FamilyKind::Reduced`]: crate::scenario::FamilyKind::Reduced
 
+use crate::check::BuildError;
 use crate::scenario::Scenario;
 use ds_circuits::generators::{self, CircuitModel};
-use ds_circuits::{mna, CircuitError, Netlist};
+use ds_circuits::{mna, Netlist};
+use ds_obs::trace::in_span;
 use ds_shh::krylov::{self, ReduceSpec};
 use std::time::Instant;
 
@@ -26,23 +28,24 @@ pub struct ReductionStats {
     pub reduction_ns: u64,
 }
 
-/// Stamps a netlist sparsely and reduces it, returning the dense reduced
-/// model plus the reduction diagnostics.
+/// Stamps a netlist sparsely (under the `stamp_sparse` span) and reduces it
+/// (under the `reduce` span), returning the dense reduced model plus the
+/// reduction diagnostics.
 ///
 /// # Errors
 ///
-/// Propagates stamping failures; reduction failures surface as
-/// [`CircuitError::BadElementValue`] with a `krylov reduction failed` prefix.
+/// Stamping failures come back as [`BuildError::Circuit`], a failed Krylov
+/// projection as [`BuildError::Reduction`] carrying the `ds-shh` error.
 pub fn reduce_netlist(
     netlist: &Netlist,
     spec: &ReduceSpec,
-) -> Result<(ds_descriptor::DescriptorSystem, ReductionStats), CircuitError> {
+) -> Result<(ds_descriptor::DescriptorSystem, ReductionStats), BuildError> {
     let start = Instant::now();
-    let mna = mna::stamp_sparse(netlist)?;
-    let reduction = krylov::reduce_prima(&mna.c_matrix(), &mna.g_matrix(), &mna.b_dense(), spec)
-        .map_err(|e| CircuitError::BadElementValue {
-            details: format!("krylov reduction failed: {e}"),
-        })?;
+    let mna = in_span("stamp_sparse", || mna::stamp_sparse(netlist))?;
+    let reduction = in_span("reduce", || {
+        krylov::reduce_prima(&mna.c_matrix(), &mna.g_matrix(), &mna.b_dense(), spec)
+    })
+    .map_err(BuildError::Reduction)?;
     let stats = ReductionStats {
         reduced_order: reduction.reduced_order,
         residual: reduction.residual,
@@ -60,7 +63,7 @@ pub fn reduce_netlist(
 /// Propagates generator/stamping/reduction failures.
 ///
 /// [`FamilyKind::Reduced`]: crate::scenario::FamilyKind::Reduced
-pub fn build_reduced(scenario: &Scenario) -> Result<(CircuitModel, ReductionStats), CircuitError> {
+pub fn build_reduced(scenario: &Scenario) -> Result<(CircuitModel, ReductionStats), BuildError> {
     let coupled = reduced_is_coupled(scenario.seed);
     let netlist = generators::reduced_ladder_netlist(scenario.size, coupled)?;
     let (system, stats) = reduce_netlist(&netlist, &ReduceSpec::default())?;

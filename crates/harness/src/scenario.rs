@@ -5,13 +5,14 @@
 //! fans the cross product of scenarios × methods (the *scenario matrix*)
 //! across its worker pool.
 
+use crate::check::BuildError;
 use crate::method::{Method, LMI_MAX_ORDER};
 use ds_circuits::generators::{self, CircuitModel};
 use ds_circuits::multiport;
 use ds_circuits::random::{
     random_nonpassive_descriptor, random_passive_descriptor, RandomPassiveOptions,
 };
-use ds_circuits::{mna, CircuitError, Netlist};
+use ds_circuits::{CircuitError, Netlist};
 use std::sync::Arc;
 
 /// The circuit families the harness can sweep.
@@ -272,9 +273,11 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Propagates generator failures (unrealizable parameters).
-    pub fn build(&self) -> Result<CircuitModel, CircuitError> {
-        match self.family {
+    /// Propagates generator failures (unrealizable parameters), deck
+    /// stamping failures, and failed Krylov projections of the `reduced`
+    /// family.
+    pub fn build(&self) -> Result<CircuitModel, BuildError> {
+        let model = match self.family {
             FamilyKind::RcLadder => generators::rc_ladder(self.size, 1.0, 1.0),
             FamilyKind::RlcLadder => generators::rlc_ladder(self.size, 1.0, 0.5, 1.0),
             FamilyKind::ImpulsiveLadder => generators::rlc_ladder_with_impulsive(self.size),
@@ -303,14 +306,9 @@ impl Scenario {
                     .ok_or_else(|| CircuitError::BadElementValue {
                         details: "deck scenario carries no deck payload".into(),
                     })?;
-                let system = mna::stamp(&spec.netlist)?;
-                Ok(CircuitModel {
-                    name: format!("deck({})", spec.name),
-                    system,
-                    expected_passive: spec.expected_passive,
-                    // Not derived for decks; the field is generator metadata.
-                    has_impulsive_modes: false,
-                })
+                let name = format!("deck({})", spec.name);
+                let expect = Some(spec.expected_passive);
+                return Ok(crate::check::netlist_model(name, &spec.netlist, expect, None)?.0);
             }
             FamilyKind::NonpassiveLadder => generators::nonpassive_ladder(self.size),
             FamilyKind::NegativeM1 => generators::negative_m1_model(self.size),
@@ -333,7 +331,7 @@ impl Scenario {
                     has_impulsive_modes: options.with_impulsive_part,
                 })
             }
-            FamilyKind::Reduced => crate::reduce::build_reduced(self).map(|(model, _)| model),
+            FamilyKind::Reduced => return Ok(crate::reduce::build_reduced(self)?.0),
             FamilyKind::RandomNonpassive => {
                 let options = RandomPassiveOptions {
                     dynamic_states: self.size,
@@ -353,7 +351,8 @@ impl Scenario {
                     has_impulsive_modes: false,
                 })
             }
-        }
+        };
+        Ok(model?)
     }
 }
 

@@ -73,17 +73,23 @@ pub fn task_fingerprint(task: &SweepTask) -> String {
     )
 }
 
-/// The stable content fingerprint of a completed record.  For the record a
-/// task produced, this equals [`task_fingerprint`] of that task.
+/// The stable content fingerprint of a completed record: for the record a
+/// task produced, [`task_fingerprint`] of that task.  A reduced deck's ends
+/// in `|reduce` (dense ones are unchanged); the reduce spec is not keyed, as
+/// only `ReduceSpec::default()` (the daemon's `?reduce=auto`) reaches a store.
 pub fn record_fingerprint(record: &SweepRecord) -> String {
-    fingerprint_parts(
+    let mut fingerprint = fingerprint_parts(
         record.family,
         record.order,
         record.ports,
         record.seed,
         record.margin,
         record.method,
-    )
+    );
+    if record.family == FamilyKind::Deck.name() && record.reduced_order.is_some() {
+        fingerprint.push_str("|reduce");
+    }
+    fingerprint
 }
 
 /// Deterministically partitions a task list across `modulus` independent

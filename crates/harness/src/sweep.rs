@@ -9,7 +9,9 @@
 //! independent of the shard order (the determinism guarantee the conformance
 //! suite pins down).
 
+use crate::check::Subject;
 use crate::scenario::SweepTask;
+use crate::store::task_fingerprint;
 use ds_descriptor::{transfer, DescriptorSystem};
 use ds_linalg::workspace::{self, PoolStats};
 use ds_passivity::{NonPassivityReason, PassivityVerdict};
@@ -17,9 +19,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// How a single task ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TaskStatus {
     /// The model was built and the method returned a verdict.
+    #[default]
     Ok,
     /// The scenario generator failed.
     BuildError,
@@ -50,7 +53,7 @@ impl TaskStatus {
 }
 
 /// The outcome of one (scenario, method) task.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SweepRecord {
     /// Index of the task in the sweep spec (the deterministic sort key).
     pub task_id: usize,
@@ -100,33 +103,14 @@ pub struct SweepRecord {
     /// `elapsed`/`stage_ns` it is part of the reduction's recorded outcome,
     /// and golden comparisons never read it.
     pub reduction_ns: Option<u64>,
-    /// Per-stage wall-clock nanoseconds of the method run, laid out in the
-    /// canonical `ds_obs::STAGES` order (seven pipeline stages then the
-    /// total).  Volatile like `elapsed`/`worker`: excluded from the JSONL
-    /// artifact and both golden modes, restored as `None` from the store.
-    pub stage_ns: Option<[u64; 8]>,
+    /// The task's span tree (root `check`), captured only when the sweep
+    /// runs with [`SweepSpec::trace`] set.  Volatile like `elapsed`/`worker`:
+    /// excluded from the artifacts and goldens, `None` from the store.
+    pub stage_ns: Option<ds_obs::trace::Trace>,
     /// Wall-clock time of the method run (build and sampling excluded).
     pub elapsed: Duration,
     /// Which worker executed the task.
     pub worker: usize,
-}
-
-/// Flattens a report's [`StageTimings`](ds_passivity::report::StageTimings)
-/// into the canonical 8-slot nanosecond layout of [`SweepRecord::stage_ns`]:
-/// the seven pipeline stages in `ds_obs::STAGES` order, then their sum as
-/// `total`.
-pub fn stage_ns_array(timings: &ds_passivity::report::StageTimings) -> [u64; 8] {
-    let ns = |d: Duration| d.as_nanos() as u64;
-    [
-        ns(timings.build_phi),
-        ns(timings.impulse_removal),
-        ns(timings.nondynamic_removal),
-        ns(timings.residue_extraction),
-        ns(timings.regularization),
-        ns(timings.spectral_split),
-        ns(timings.positive_real_test),
-        ns(timings.total()),
-    ]
 }
 
 /// A full sweep specification.
@@ -145,6 +129,9 @@ pub struct SweepSpec {
     /// merged, sorted store artifact — identical to a single-process run of
     /// the full matrix.  `None` means `0..tasks.len()`.
     pub task_ids: Option<Vec<usize>>,
+    /// Whether each worker records its task's span tree into
+    /// [`SweepRecord::stage_ns`] (trace id: the task's store fingerprint).
+    pub trace: bool,
 }
 
 impl SweepSpec {
@@ -155,6 +142,7 @@ impl SweepSpec {
             threads,
             sample_violations: true,
             task_ids: None,
+            trace: false,
         }
     }
 
@@ -260,91 +248,35 @@ pub fn verdict_fields(verdict: &PassivityVerdict) -> (bool, bool, &'static str) 
     }
 }
 
+/// Runs one task as a [`Subject::Scenario`] check, under a `check` root
+/// span whose tree lands in [`SweepRecord::stage_ns`] when `trace` is set.
 fn run_task(
     task_id: usize,
     task: &SweepTask,
     worker: usize,
     violation_count: Option<usize>,
+    trace: bool,
 ) -> SweepRecord {
-    let scenario = &task.scenario;
-    let mut record = SweepRecord {
-        task_id,
-        family: scenario.family.name(),
-        scenario: String::new(),
-        order: scenario.order(),
-        ports: scenario.ports,
-        seed: scenario.seed,
-        margin: scenario.margin,
-        method: task.method.name(),
-        status: TaskStatus::Ok,
-        passive: None,
-        strict: false,
-        reason: String::new(),
-        expected_passive: None,
-        agrees: None,
-        violation_count,
-        witness_frequency: None,
-        reduced_order: None,
-        residual: None,
-        reduction_ns: None,
-        stage_ns: None,
-        elapsed: Duration::ZERO,
-        worker,
-    };
-    // Reduce-then-verify families build through the sparse path so the
-    // reduction diagnostics land on the record; everything else uses the
-    // scenario's own builder.
-    let built = if scenario.family == crate::scenario::FamilyKind::Reduced {
-        crate::reduce::build_reduced(scenario).map(|(model, stats)| (model, Some(stats)))
-    } else {
-        scenario.build().map(|model| (model, None))
-    };
-    let (model, reduction) = match built {
-        Ok(pair) => pair,
-        Err(e) => {
-            record.status = TaskStatus::BuildError;
-            record.reason = e.to_string();
-            return record;
-        }
-    };
-    if let Some(stats) = reduction {
-        record.reduced_order = Some(stats.reduced_order);
-        record.residual = Some(stats.residual);
-        record.reduction_ns = Some(stats.reduction_ns);
+    if trace {
+        ds_obs::trace::begin(&task_fingerprint(task));
     }
-    record.scenario = model.name.clone();
-    record.expected_passive = Some(model.expected_passive);
-    let start = Instant::now();
-    let report = crate::method::run_method(task.method, &model);
-    record.elapsed = start.elapsed();
-    match report {
-        Ok(report) => {
-            let (passive, strict, slug) = verdict_fields(&report.verdict);
-            record.passive = Some(passive);
-            record.strict = strict;
-            record.reason = slug.to_string();
-            record.agrees = Some(passive == model.expected_passive);
-            record.witness_frequency = verdict_witness(&report.verdict);
-            record.stage_ns = Some(stage_ns_array(&report.timings));
+    let mut record = {
+        let _span = ds_obs::trace::span("check");
+        match Subject::Scenario(&task.scenario).build(task.method) {
+            Ok(mut check) => {
+                check.run();
+                check.record
+            }
+            Err(failed) => failed.0,
         }
-        Err(e) => {
-            record.status = TaskStatus::MethodError;
-            record.reason = e.to_string();
-        }
+    };
+    record.task_id = task_id;
+    record.worker = worker;
+    record.violation_count = violation_count;
+    if trace {
+        record.stage_ns = ds_obs::trace::end();
     }
     record
-}
-
-/// Runs a single task outside the worker pool and returns its record — the
-/// entry point the unified `CheckRequest` pipeline (and through it the
-/// `ds-serve` daemon) shares with the sweep engine, so a verdict computed for
-/// one request is field-for-field identical to the record a sweep over the
-/// same scenario would emit.
-///
-/// The violation-frequency sampling pre-pass is skipped (`violation_count`
-/// stays `None`): it is a sweep diagnostic, not part of the verdict.
-pub fn run_single(task: &SweepTask, task_id: usize) -> SweepRecord {
-    run_task(task_id, task, 0, None)
 }
 
 /// Deduplicates scenarios across the task list and computes the deterministic
@@ -415,7 +347,7 @@ pub fn run_sweep_with_progress(
     let start = Instant::now();
     // The O(n³) Popov-grid sampling depends only on the scenario, not the
     // method, so it runs once per unique scenario in a parallel pre-pass.
-    let violation_counts: Vec<Option<usize>> = if spec.sample_violations {
+    let counts: Vec<Option<usize>> = if spec.sample_violations {
         sample_violation_counts(tasks, threads)
     } else {
         vec![None; tasks.len()]
@@ -435,7 +367,7 @@ pub fn run_sweep_with_progress(
         let mut handles = Vec::with_capacity(threads);
         for worker in 0..threads {
             let cursor = &cursor;
-            let violation_counts = &violation_counts;
+            let counts = &counts;
             handles.push(scope.spawn(move || {
                 let mut shard = Vec::new();
                 loop {
@@ -444,7 +376,8 @@ pub fn run_sweep_with_progress(
                         break;
                     }
                     let task_id = task_ids.map_or(index, |ids| ids[index]);
-                    let record = run_task(task_id, &tasks[index], worker, violation_counts[index]);
+                    let record =
+                        run_task(task_id, &tasks[index], worker, counts[index], spec.trace);
                     if let Some(callback) = on_record {
                         callback(&record);
                     }
@@ -483,6 +416,7 @@ mod tests {
     use super::*;
     use crate::method::Method;
     use crate::scenario::{quick_scenarios, scenario_matrix, FamilyKind, Scenario};
+    use ds_obs::trace::SpanRecord;
     use std::sync::Mutex;
 
     #[test]
@@ -618,46 +552,40 @@ mod tests {
     }
 
     #[test]
-    fn stage_ns_array_layout_matches_the_canonical_stage_list() {
-        // The 8-slot layout is coupled to `ds_obs::STAGES` by position; pin
-        // both sides so neither can drift silently.
+    fn traced_sweeps_carry_each_task_span_tree_and_untraced_ones_none() {
+        let scenarios = vec![
+            Scenario::new(FamilyKind::RlcLadder, 3),
+            Scenario::new(FamilyKind::ImpulsiveLadder, 8),
+            Scenario::new(FamilyKind::NonpassiveLadder, 6),
+            Scenario::new(FamilyKind::Reduced, 30),
+        ];
+        let tasks = scenario_matrix(&scenarios, &[Method::Proposed, Method::Weierstrass]);
+        let untraced = run_sweep(&SweepSpec::new(tasks.clone(), 2));
+        assert!(untraced.records.iter().all(|r| r.stage_ns.is_none()));
+        let traced = run_sweep(&SweepSpec {
+            trace: true,
+            ..SweepSpec::new(tasks.clone(), 2)
+        });
+        for (record, task) in traced.records.iter().zip(&tasks) {
+            let trace = record.stage_ns.as_ref().expect("traced task without spans");
+            assert_eq!(trace.id, task_fingerprint(task));
+            let root = &trace.spans[0];
+            assert_eq!((root.name.as_str(), root.parent), ("check", None));
+            assert!(trace.spans[1..].iter().all(|s| s.parent.is_some()));
+            // Every ok proposed task's root covers its stage spans.
+            let is_stage = |s: &&SpanRecord| ds_obs::STAGES.contains(&&*s.name);
+            let stages: Vec<_> = trace.spans.iter().filter(is_stage).collect();
+            let ok_proposed = record.method == "proposed" && record.status == TaskStatus::Ok;
+            assert_eq!(stages.iter().any(|s| s.name == "build_phi"), ok_proposed);
+            let end = |s: &SpanRecord| s.start_ns + s.elapsed_ns;
+            assert!(stages
+                .iter()
+                .all(|s| s.start_ns >= root.start_ns && end(s) <= end(root)));
+        }
+        // Tracing changes no deterministic field.
         assert_eq!(
-            ds_obs::STAGES,
-            [
-                "build_phi",
-                "impulse",
-                "nondynamic",
-                "residue",
-                "regularize",
-                "split",
-                "pr_test",
-                "total"
-            ]
+            crate::artifacts::render_jsonl(&untraced.records),
+            crate::artifacts::render_jsonl(&traced.records)
         );
-        let timings = ds_passivity::report::StageTimings {
-            build_phi: Duration::from_nanos(1),
-            impulse_removal: Duration::from_nanos(2),
-            nondynamic_removal: Duration::from_nanos(3),
-            residue_extraction: Duration::from_nanos(4),
-            regularization: Duration::from_nanos(5),
-            spectral_split: Duration::from_nanos(6),
-            positive_real_test: Duration::from_nanos(7),
-        };
-        assert_eq!(stage_ns_array(&timings), [1, 2, 3, 4, 5, 6, 7, 28]);
-    }
-
-    #[test]
-    fn completed_tasks_carry_volatile_stage_timings() {
-        let task = SweepTask {
-            scenario: Scenario::new(FamilyKind::RcLadder, 4),
-            method: Method::Proposed,
-        };
-        let record = run_single(&task, 0);
-        assert_eq!(record.status, TaskStatus::Ok);
-        let stage_ns = record.stage_ns.expect("stage timings on an ok record");
-        let total = stage_ns[stage_ns.len() - 1];
-        assert_eq!(stage_ns.iter().take(7).sum::<u64>(), total);
-        assert!(total > 0, "total stage time cannot be zero");
-        assert!(total <= record.elapsed.as_nanos() as u64 * 2);
     }
 }

@@ -41,10 +41,6 @@ fn schema_needles() -> Vec<(&'static str, String)> {
         ),
         ("serve-stats", concat!("ds-serve-stats", "/v1").to_string()),
         ("trace", concat!("ds-trace", "/v1").to_string()),
-        (
-            "bench-baseline",
-            concat!("ds-bench/perf-baseline", "/v2").to_string(),
-        ),
         ("lint-report", crate::report::REPORT_SCHEMA.to_string()),
         ("lint-baseline", crate::report::BASELINE_SCHEMA.to_string()),
         // Prometheus metric families: the exported name of each series is an

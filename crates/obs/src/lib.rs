@@ -5,11 +5,11 @@
 //! Two halves, both designed for the check pipeline's shape:
 //!
 //! * [`trace`] — span-based tracing over thread-local span stacks and
-//!   [`std::time::Instant`].  Spans are nestable, carry the stable stage
-//!   names of [`STAGES`], export to byte-stable `ds-trace/v1` JSONL, and
-//!   render as a text flame tree.  Tracing is off by default: until a
-//!   thread calls [`trace::begin`], every [`trace::span`] /
-//!   [`trace::emit_ns`] is a no-op whose cost is one thread-local read —
+//!   [`std::time::Instant`].  Spans are nestable, opened where the work
+//!   runs (the stage spans carry the names of [`STAGES`]), export to
+//!   byte-stable `ds-trace/v1` JSONL, and render as a text flame tree.
+//!   Tracing is off by default: until a thread calls [`trace::begin`],
+//!   every [`trace::span`] is a no-op whose cost is one thread-local read —
 //!   library users pay effectively nothing.
 //! * [`metrics`] — atomic counters, gauges and log-bucketed latency
 //!   histograms (mergeable across threads, p50/p90/p99 derivable exactly
@@ -17,9 +17,10 @@
 //!   text exposition.  A process-wide [`metrics::global`] registry backs
 //!   the `ds-serve` `/metrics` endpoint.
 //!
-//! The bench binaries (`perf_baseline`, `stage_profile`) and the daemon
-//! both read per-stage cost from the same span path, so "what the bench
-//! gates" and "what production reports" can never drift apart.
+//! The crate has no dependencies, so the numerical crates can open spans
+//! at the source: `ds-passivity` times its own stages, and `ds-sweep
+//! --trace`, the daemon's `/trace/<id>` and its stage histograms all read
+//! those same spans.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,45 +28,32 @@
 pub mod metrics;
 pub mod trace;
 
-/// The canonical per-check stage names, in pipeline order, with the
-/// end-to-end `total` last.  These are the span names the pipeline emits,
-/// the row labels of `perf_baseline`/`stage_profile`, the `stage` label
-/// values of the `/metrics` stage histograms, and the layout of the
-/// volatile per-task stage timings on `SweepRecord` — one list, defined
-/// here once.
-pub const STAGES: [&str; 8] = [
+/// The stage spans a check can open, in the order they run: the sparse
+/// stamp and Krylov projection of the reduce-then-verify path, then the
+/// proposed test's stages, which add up to its `method` span.  These are
+/// the `stage` label values of the daemon's stage histograms.
+pub const STAGES: [&str; 12] = [
+    "stamp_sparse",
+    "reduce",
     "build_phi",
     "impulse",
     "nondynamic",
     "residue",
+    "restore",
+    "rank_e",
     "regularize",
     "split",
     "pr_test",
-    "total",
+    "markov",
 ];
-
-/// Stage names of the sparse reduce-then-verify path, which run *before* the
-/// [`STAGES`] pipeline when a check requests Krylov reduction.  Kept separate
-/// from `STAGES` so the per-task stage-timing layout on `SweepRecord` (and
-/// every artifact pinned to it) stays eight slots wide; the daemon's stage
-/// histograms register both lists.
-pub const EXTRA_STAGES: [&str; 2] = ["stamp_sparse", "reduce"];
 
 #[cfg(test)]
 mod tests {
-    use super::{EXTRA_STAGES, STAGES};
+    use super::STAGES;
 
     #[test]
-    fn stage_names_are_distinct_and_end_with_total() {
+    fn stage_names_are_distinct() {
         let set: std::collections::HashSet<&str> = STAGES.iter().copied().collect();
         assert_eq!(set.len(), STAGES.len());
-        assert_eq!(STAGES[STAGES.len() - 1], "total");
-    }
-
-    #[test]
-    fn extra_stage_names_do_not_collide_with_the_pipeline_stages() {
-        let set: std::collections::HashSet<&str> =
-            STAGES.iter().chain(EXTRA_STAGES.iter()).copied().collect();
-        assert_eq!(set.len(), STAGES.len() + EXTRA_STAGES.len());
     }
 }

@@ -4,9 +4,9 @@
 //!
 //! The recorder is opt-in per thread: [`begin`] arms collection on the
 //! calling thread, [`end`] disarms it and returns the collected
-//! [`Trace`].  While disarmed (the default), [`span`] and [`emit_ns`]
-//! cost one thread-local read and allocate nothing, so instrumented
-//! library code is effectively free for callers that never trace.
+//! [`Trace`].  While disarmed (the default), [`span`] costs one
+//! thread-local read and allocates nothing, so instrumented library code
+//! is effectively free for callers that never trace.
 //!
 //! # `ds-trace/v1`
 //!
@@ -14,7 +14,7 @@
 //! timestamps (no float formatting → byte-stable across platforms):
 //!
 //! ```text
-//! {"schema":"ds-trace/v1","trace":"<id>","seq":0,"parent":null,"depth":0,"span":"total","start_ns":0,"elapsed_ns":152000}
+//! {"schema":"ds-trace/v1","trace":"<id>","seq":0,"parent":null,"span":"check","depth":0,"start_ns":0,"elapsed_ns":152000}
 //! ```
 //!
 //! `seq` numbers spans in open order, `parent` is the `seq` of the
@@ -33,7 +33,7 @@ use std::time::Instant;
 pub const TRACE_SCHEMA: &str = "ds-trace/v1";
 
 /// One completed span inside a [`Trace`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Open-order sequence number, unique within the trace.
     pub seq: usize,
@@ -41,7 +41,7 @@ pub struct SpanRecord {
     pub parent: Option<usize>,
     /// Nesting depth (root spans are 0).
     pub depth: usize,
-    /// Span name (a [`crate::STAGES`] entry for pipeline stages).
+    /// Span name (a [`crate::STAGES`] entry for stage spans).
     pub name: String,
     /// Offset from the trace origin, nanoseconds.
     pub start_ns: u64,
@@ -77,42 +77,6 @@ fn json_quote(s: &str) -> String {
 }
 
 impl Trace {
-    /// Builds the common flat shape — a root span covering `root_ns` with
-    /// one child per `(name, elapsed_ns)` stage laid end to end — used by
-    /// `ds-sweep --trace` to export per-task stage timings.
-    pub fn from_stage_durations(
-        id: &str,
-        root: &str,
-        root_ns: u64,
-        stages: &[(&str, u64)],
-    ) -> Trace {
-        let mut spans = Vec::with_capacity(stages.len() + 1);
-        spans.push(SpanRecord {
-            seq: 0,
-            parent: None,
-            depth: 0,
-            name: root.to_string(),
-            start_ns: 0,
-            elapsed_ns: root_ns,
-        });
-        let mut cursor = 0u64;
-        for (i, (name, ns)) in stages.iter().enumerate() {
-            spans.push(SpanRecord {
-                seq: i + 1,
-                parent: Some(0),
-                depth: 1,
-                name: (*name).to_string(),
-                start_ns: cursor,
-                elapsed_ns: *ns,
-            });
-            cursor = cursor.saturating_add(*ns);
-        }
-        Trace {
-            id: id.to_string(),
-            spans,
-        }
-    }
-
     /// Renders the trace as `ds-trace/v1` JSONL (one line per span, `seq`
     /// order, trailing newline).
     pub fn render_jsonl(&self) -> String {
@@ -196,11 +160,6 @@ pub fn end() -> Option<Trace> {
     })
 }
 
-/// Whether the calling thread is currently collecting spans.
-pub fn is_active() -> bool {
-    COLLECTOR.with(|c| c.borrow().is_some())
-}
-
 /// An RAII span: opened by [`span`], closed (and recorded) on drop.
 /// Disarmed guards (no active trace at open time) do nothing on drop.
 #[must_use = "a span measures until it is dropped"]
@@ -240,6 +199,12 @@ pub fn span(name: &str) -> SpanGuard {
     SpanGuard { armed }
 }
 
+/// Runs `f` under a span named `name` (see [`span`]).
+pub fn in_span<T>(name: &str, f: impl FnOnce() -> T) -> T {
+    let _span = span(name);
+    f()
+}
+
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(armed) = self.armed.take() else {
@@ -264,28 +229,6 @@ impl Drop for SpanGuard {
             });
         });
     }
-}
-
-/// Records a pre-measured span of `elapsed_ns` under the currently open
-/// span (used to replay stage timings measured elsewhere onto the trace).
-/// A no-op unless [`begin`] armed this thread.
-pub fn emit_ns(name: &str, elapsed_ns: u64) {
-    COLLECTOR.with(|c| {
-        let mut slot = c.borrow_mut();
-        let Some(collector) = slot.as_mut() else {
-            return;
-        };
-        let seq = collector.next_seq;
-        collector.next_seq += 1;
-        collector.spans.push(SpanRecord {
-            seq,
-            parent: collector.open.last().copied(),
-            depth: collector.open.len(),
-            name: name.to_string(),
-            start_ns: collector.origin.elapsed().as_nanos() as u64,
-            elapsed_ns,
-        });
-    });
 }
 
 /// A process-unique trace id: 16 lowercase hex chars — a per-process seed
@@ -453,7 +396,7 @@ mod tests {
             let _outer = span("outer");
             {
                 let _inner = span("inner");
-                emit_ns("leaf", 42);
+                let _leaf = span("leaf");
             }
             let _sibling = span("sibling");
         }
@@ -469,15 +412,13 @@ mod tests {
         assert_eq!((inner.parent, inner.depth), (Some(outer.seq), 1));
         assert_eq!((leaf.parent, leaf.depth), (Some(inner.seq), 2));
         assert_eq!((sibling.parent, sibling.depth), (Some(outer.seq), 1));
-        assert_eq!(leaf.elapsed_ns, 42);
         assert!(outer.elapsed_ns >= inner.elapsed_ns);
+        assert!(inner.elapsed_ns >= leaf.elapsed_ns);
     }
 
     #[test]
     fn disarmed_spans_are_noops() {
-        assert!(!is_active());
         let _s = span("ignored");
-        emit_ns("ignored", 1);
         assert!(end().is_none());
     }
 
@@ -487,7 +428,7 @@ mod tests {
             begin("determinism");
             {
                 let _a = span("build_phi");
-                emit_ns("split", 7);
+                let _b = span("split");
             }
             end().expect("trace")
         };
@@ -499,17 +440,34 @@ mod tests {
         assert!(first.contains("\"elapsed_ns\":0"));
     }
 
+    /// A `root` span with one child per `(name, elapsed_ns)`, recorded
+    /// through `begin`/`span`/`end`, then given exact times laid end to end.
+    fn flat_trace(id: &str, root: &str, root_ns: u64, children: &[(&str, u64)]) -> Trace {
+        begin(id);
+        {
+            let _root = span(root);
+            children.iter().for_each(|(name, _)| drop(span(name)));
+        }
+        let mut trace = end().unwrap();
+        (trace.spans[0].start_ns, trace.spans[0].elapsed_ns) = (0, root_ns);
+        let mut cursor = 0;
+        for (span, (_, ns)) in trace.spans[1..].iter_mut().zip(children) {
+            (span.start_ns, span.elapsed_ns) = (cursor, *ns);
+            cursor += ns;
+        }
+        trace
+    }
+
     #[test]
     fn jsonl_lines_carry_the_full_schema() {
-        let trace =
-            Trace::from_stage_durations("tid-1", "total", 10, &[("build_phi", 4), ("split", 6)]);
+        let trace = flat_trace("tid-1", "method", 10, &[("build_phi", 4), ("split", 6)]);
         let text = trace.render_jsonl();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         assert_eq!(
             lines[0],
             "{\"schema\":\"ds-trace/v1\",\"trace\":\"tid-1\",\"seq\":0,\"parent\":null,\
-             \"span\":\"total\",\"depth\":0,\"start_ns\":0,\"elapsed_ns\":10}"
+             \"span\":\"method\",\"depth\":0,\"start_ns\":0,\"elapsed_ns\":10}"
         );
         assert_eq!(
             lines[2],
@@ -545,9 +503,9 @@ mod tests {
 
     #[test]
     fn flame_tree_sorts_by_time_and_reports_shares() {
-        let trace = Trace::from_stage_durations(
+        let trace = flat_trace(
             "t",
-            "total",
+            "method",
             10_000_000,
             &[("fast", 2_000_000), ("slow", 8_000_000)],
         );

@@ -3,15 +3,15 @@
 //!
 //! Every deck check is keyed by the same content fingerprint the sweep
 //! engine's result store uses (`family|order|ports|seed|margin|method`, with
-//! the canonical deck hash riding in the seed), so the three tiers answer
-//! identically:
+//! the canonical deck hash riding in the seed, and a `|reduce` suffix for
+//! Krylov-reduced checks), so the three tiers answer identically:
 //!
 //! 1. **memory** — an [`LruCache`] of rendered report bodies (`X-Cache: hit`);
 //! 2. **store** — the persistent [`ResultStore`] shared with `ds-sweep`
 //!    (`X-Cache: hit-store`): verdicts computed by *any* earlier run, or by a
 //!    server process since restarted, are replayed without recomputation;
 //! 3. **compute** — the unified pipeline (`X-Cache: miss`), through the very
-//!    same `run_single` entry point the sweep engine uses, so a served
+//!    same record-producing check the sweep workers run, so a served
 //!    verdict can never diverge from `ds-sweep --decks`.
 //!
 //! Identical decks arriving concurrently are *coalesced*: one computes, the
@@ -20,11 +20,12 @@
 
 use crate::cache::LruCache;
 use ds_obs::metrics::{names, Counter, Gauge, Histogram};
-use ds_obs::trace::TraceRing;
+use ds_obs::trace::{SpanRecord, Trace, TraceRing};
 use ds_passivity_suite::harness::json;
 use ds_passivity_suite::harness::sync::{lock_infallible, wait_timeout_infallible};
-use ds_passivity_suite::harness::{task_fingerprint, Method, ResultStore, SweepRecord, SweepTask};
+use ds_passivity_suite::harness::{Method, ResultStore, Subject, SweepRecord};
 use ds_passivity_suite::netlist::Deck;
+use ds_passivity_suite::shh::krylov::ReduceSpec;
 use ds_passivity_suite::{CheckOutcome, PassivityCheck, RepairOutcome, SuiteError};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
@@ -63,25 +64,20 @@ pub struct CheckJob {
 
 impl CheckJob {
     /// The store fingerprint of this job — identical to the fingerprint
-    /// `ds-sweep --decks` records the same canonical deck under.
+    /// `ds-sweep --decks` records the same canonical deck under; a reduce
+    /// job's ends in `|reduce`, so its record never answers a dense request.
     pub fn fingerprint(&self) -> String {
-        let scenario =
-            ds_passivity_suite::harness::scenario::Scenario::from_deck(&self.name, &self.deck);
-        task_fingerprint(&SweepTask {
-            scenario,
-            method: self.method,
-        })
+        let spec = ReduceSpec::default();
+        let reduce = self.reduce.then_some(&spec);
+        Subject::Deck(&self.name, &self.deck, reduce).fingerprint(self.method)
     }
 
-    /// The cache key: the store fingerprint plus the repair and reduce flags
-    /// (both change the response body, so each variant caches separately).
+    /// The cache key: the store fingerprint plus the repair flag (repair
+    /// changes the response body, so it caches separately).
     pub fn cache_key(&self) -> String {
         let mut key = self.fingerprint();
         if self.repair {
             key.push_str("|repair");
-        }
-        if self.reduce {
-            key.push_str("|reduce");
         }
         key
     }
@@ -173,8 +169,8 @@ struct Metrics {
     queue_depth: Arc<Gauge>,
     check_seconds: Arc<Histogram>,
     queue_wait_seconds: Arc<Histogram>,
-    /// One histogram per [`ds_obs::STAGES`] and [`ds_obs::EXTRA_STAGES`]
-    /// entry, labelled `stage=<name>`.
+    /// One histogram per [`ds_obs::STAGES`] entry, labelled
+    /// `stage=<name>`; a computed check feeds the stage spans it ran.
     stage_seconds: Vec<(&'static str, Arc<Histogram>)>,
 }
 
@@ -214,7 +210,6 @@ impl Metrics {
             ),
             stage_seconds: ds_obs::STAGES
                 .iter()
-                .chain(ds_obs::EXTRA_STAGES.iter())
                 .map(|stage| {
                     (
                         *stage,
@@ -249,7 +244,15 @@ struct Inner {
 /// trace id the daemon handed out while it stays in the ring.
 fn record_hit_trace(inner: &Inner, trace_id: &str, started: Instant) {
     let elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let trace = ds_obs::trace::Trace::from_stage_durations(trace_id, "check", elapsed_ns, &[]);
+    let check = SpanRecord {
+        name: "check".to_string(),
+        elapsed_ns,
+        ..SpanRecord::default()
+    };
+    let trace = Trace {
+        id: trace_id.to_string(),
+        spans: vec![check],
+    };
     inner.traces.insert(trace_id, trace.render_jsonl());
 }
 
@@ -257,18 +260,6 @@ fn record_hit_trace(inner: &Inner, trace_id: &str, started: Instant) {
 pub struct CheckService {
     inner: Arc<Inner>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-}
-
-/// A passive verdict needs no perturbation: the repair outcome is a constant,
-/// so store-tier hits can answer repair requests for passive decks without
-/// recomputation (byte-identical to the fresh path in `pipeline::run_deck`).
-fn trivial_repair(passive: bool) -> RepairOutcome {
-    RepairOutcome {
-        enforced: false,
-        resistance: 0.0,
-        passive_after: passive,
-        reason: String::new(),
-    }
 }
 
 /// Maps a pipeline error to the HTTP status and JSON body of an error
@@ -392,11 +383,8 @@ impl CheckService {
         // Tier 2: the persistent store.  Repair requests can only be answered
         // here when the stored verdict is passive (no perturbation to
         // compute); non-passive repairs carry enforcement results that the
-        // store's record schema does not persist, so they recompute.  Reduce
-        // requests bypass the store entirely: its records hold *dense*
-        // verdicts under the same fingerprint, and a reduced report carries
-        // reduction fields no dense record can replay.
-        if let (Some(store), false) = (&inner.store, job.reduce) {
+        // store's record schema does not persist, so they recompute.
+        if let Some(store) = &inner.store {
             let state = lock_infallible(store);
             if let Some(record) = state.store.get(&fingerprint) {
                 let passive = record.passive;
@@ -404,7 +392,7 @@ impl CheckService {
                 if usable {
                     let mut outcome = CheckOutcome::from_record(record);
                     if job.repair {
-                        outcome.repair = Some(trivial_repair(true));
+                        outcome.repair = Some(RepairOutcome::unneeded(true));
                     }
                     let body = outcome.report_json();
                     drop(state);
@@ -635,7 +623,7 @@ fn run_job(inner: &Inner, queued: &QueuedJob) -> CheckReply {
             .method(job.method)
             .repair(job.repair);
         if job.reduce {
-            check = check.reduce(ds_passivity_suite::shh::krylov::ReduceSpec::default());
+            check = check.reduce(ReduceSpec::default());
         }
         check.run()
     }));
@@ -670,12 +658,12 @@ fn run_job(inner: &Inner, queued: &QueuedJob) -> CheckReply {
         Ok(outcome) => {
             inner.stats.computed.fetch_add(1, Ordering::Relaxed);
             let body = outcome.report_json();
-            if let (Some(store), Some(record)) = (&inner.store, &outcome.record) {
+            if let Some(store) = &inner.store {
                 let mut state = lock_infallible(store);
                 if !state.store.contains(&queued.fingerprint)
                     && !state.pending_fingerprints.contains(&queued.fingerprint)
                 {
-                    state.pending.push(record.clone());
+                    state.pending.push(outcome.record.clone());
                     state
                         .pending_fingerprints
                         .insert(queued.fingerprint.clone());
@@ -721,7 +709,14 @@ mod tests {
 
     #[test]
     fn fingerprints_match_the_sweep_engine() {
+        use ds_passivity_suite::harness::scenario::Scenario;
+        use ds_passivity_suite::harness::{task_fingerprint, SweepTask};
         let job = job(Method::Proposed, false);
+        let task = SweepTask {
+            scenario: Scenario::from_deck(&job.name, &job.deck),
+            method: job.method,
+        };
+        assert_eq!(job.fingerprint(), task_fingerprint(&task));
         assert!(job.fingerprint().starts_with("deck|"));
         assert!(job.fingerprint().ends_with("|proposed"));
         assert_eq!(job.cache_key(), job.fingerprint());
@@ -813,7 +808,7 @@ mod tests {
         };
         assert_eq!(cache, "miss");
         let body = service.trace_body("trace-ring-miss").unwrap();
-        for stage in ds_obs::STAGES {
+        for stage in &ds_obs::STAGES[2..] {
             assert!(
                 body.contains(&format!("\"span\":\"{stage}\"")),
                 "trace is missing stage '{stage}': {body}"
@@ -831,39 +826,44 @@ mod tests {
         assert_eq!(cache, "hit");
         let hit = service.trace_body("trace-ring-hit").unwrap();
         assert!(hit.contains("\"span\":\"check\""));
-        assert!(!hit.contains("\"span\":\"total\""));
+        assert!(!hit.contains("\"span\":\"method\""));
         service.stop().unwrap();
     }
 
     #[test]
     fn reduce_jobs_compute_reduced_reports_and_cache_separately() {
-        let service = CheckService::start(1, 8, 16, None).unwrap();
-        let mut reduce = job(Method::Proposed, false);
+        // Dense, reduced, dense again, then a restart on the same store:
+        // each request gets its own body, from its own store slot.
+        let store = std::env::temp_dir().join(format!("ds-serve-reduce-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&store);
+        let dense_job = job(Method::Proposed, false);
+        let mut reduce = dense_job.clone();
         reduce.reduce = true;
         assert!(reduce.cache_key().ends_with("|reduce"));
-        let rx = service.submit(reduce.clone()).unwrap();
-        let CheckReply::Done { body, cache } = rx.recv().unwrap() else {
-            panic!("reduce check failed");
+        let check = |service: &CheckService, job: &CheckJob| {
+            let reply = service.submit(job.clone()).unwrap().recv().unwrap();
+            let CheckReply::Done { body, cache } = reply else {
+                panic!("check failed: {reply:?}");
+            };
+            (cache, body)
         };
-        assert_eq!(cache, "miss");
-        // Order 4 passes through the projection exactly.
-        assert!(body.contains("\"reduced_order\":4"), "{body}");
-        assert!(body.contains("\"passive\":true"), "{body}");
-        // The dense variant of the same deck computes (and caches) separately.
-        let rx = service.submit(job(Method::Proposed, false)).unwrap();
-        let CheckReply::Done { body: dense, cache } = rx.recv().unwrap() else {
-            panic!("dense check failed");
-        };
+        let service = CheckService::start(1, 8, 16, Some(&store)).unwrap();
+        let (cache, dense) = check(&service, &dense_job);
         assert_eq!(cache, "miss");
         assert!(dense.contains("\"reduced_order\":null"), "{dense}");
-        // A repeated reduce request is a memory hit with identical bytes.
-        let rx = service.submit(reduce).unwrap();
-        let CheckReply::Done { body: again, cache } = rx.recv().unwrap() else {
-            panic!("cached reduce check failed");
-        };
-        assert_eq!(cache, "hit");
-        assert_eq!(again, body);
+        let (cache, reduced) = check(&service, &reduce);
+        assert_eq!(cache, "miss", "a dense record answered a reduce request");
+        // Order 4 passes through the projection exactly.
+        assert!(reduced.contains("\"reduced_order\":4"), "{reduced}");
+        assert!(reduced.contains("\"passive\":true"), "{reduced}");
+        assert_eq!(check(&service, &dense_job), ("hit", dense.clone()));
+        assert_eq!(check(&service, &reduce), ("hit", reduced.clone()));
         service.stop().unwrap();
+        let service = CheckService::start(1, 8, 16, Some(&store)).unwrap();
+        assert_eq!(check(&service, &reduce), ("hit-store", reduced));
+        assert_eq!(check(&service, &dense_job), ("hit-store", dense));
+        service.stop().unwrap();
+        let _ = std::fs::remove_dir_all(&store);
     }
 
     #[test]

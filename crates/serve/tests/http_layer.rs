@@ -3,7 +3,7 @@
 //! concurrency, and byte-identity with the sweep engine.
 
 use ds_passivity_suite::harness::scenario::Scenario;
-use ds_passivity_suite::harness::{run_single, Method, SweepTask};
+use ds_passivity_suite::harness::{run_sweep, Method, SweepSpec, SweepTask};
 use ds_passivity_suite::netlist::parse_deck;
 use ds_passivity_suite::CheckOutcome;
 use ds_serve::{client, Server, ServerConfig};
@@ -241,7 +241,8 @@ fn served_verdicts_are_byte_identical_to_the_sweep_engine() {
                 scenario: Scenario::from_deck(format!("{:016x}", deck.content_hash()), &deck),
                 method,
             };
-            let expected = CheckOutcome::from_record(&run_single(&task, 0)).report_json();
+            let record = &run_sweep(&SweepSpec::new(vec![task], 1)).records[0];
+            let expected = CheckOutcome::from_record(record).report_json();
 
             let reply =
                 client::post(addr, &format!("/check?method={}", method.name()), &text).unwrap();

@@ -135,7 +135,7 @@ fn daemon_serves_the_corpus_and_shuts_down_gracefully() {
     let stage_count_line = metrics
         .body
         .lines()
-        .find(|l| l.starts_with("ds_check_stage_seconds_count{stage=\"total\"}"))
+        .find(|l| l.starts_with("ds_check_stage_seconds_count{stage=\"build_phi\"}"))
         .expect("stage histogram sample");
     let observed: u64 = stage_count_line
         .rsplit(' ')

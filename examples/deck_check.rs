@@ -29,7 +29,7 @@ fn main() -> Result<(), SuiteError> {
         .run()?;
     println!(
         "stamped MNA descriptor system: order {}, {} port(s)",
-        proposed.order, proposed.ports
+        proposed.order, proposed.record.ports
     );
 
     let weierstrass = PassivityCheck::deck("coupled_pair", deck.clone())

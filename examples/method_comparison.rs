@@ -18,7 +18,7 @@ fn main() -> Result<(), SuiteError> {
         println!(
             "{:<14} {:>12.2} {:>10}",
             method.name(),
-            outcome.elapsed.as_secs_f64() * 1e3,
+            outcome.record.elapsed.as_secs_f64() * 1e3,
             outcome.passive == Some(true)
         );
     }

@@ -21,7 +21,7 @@ fn main() -> Result<(), SuiteError> {
     let outcome = PassivityCheck::netlist("quickstart", netlist).run()?;
     println!(
         "MNA descriptor model: order {}, {} port(s)",
-        outcome.order, outcome.ports
+        outcome.order, outcome.record.ports
     );
 
     let report = outcome

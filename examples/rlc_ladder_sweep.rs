@@ -21,7 +21,7 @@ fn main() -> Result<(), SuiteError> {
             "{:>8} {:>10} {:>12.2} {:>18}",
             order,
             outcome.passive == Some(true),
-            outcome.elapsed.as_secs_f64() * 1e3,
+            outcome.record.elapsed.as_secs_f64() * 1e3,
             report.diagnostics.removed_impulse_states
         );
     }

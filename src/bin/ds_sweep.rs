@@ -38,9 +38,10 @@
 //!   segments of `M` independent processes merge losslessly;
 //! * `--stream` — print each record's JSONL line to stdout as it completes
 //!   (completion order; the on-disk artifact stays sorted by task id);
-//! * `--trace OUT.jsonl` — export every completed task's per-stage timings
-//!   as a `ds-trace/v1` JSONL file (one trace per task, ids = the stable
-//!   store fingerprints; render it with the `ds-trace` binary);
+//! * `--trace OUT.jsonl` — record every task's span tree (root `check`:
+//!   build spans, `method`, the proposed test's stages) and export them as
+//!   `ds-trace/v1` JSONL (ids = the store fingerprints; render it with the
+//!   `ds-trace` binary).  Untraced sweeps record no per-task spans;
 //! * `--no-violations` — skip the deterministic Popov-grid sampling;
 //! * `--compare-single-thread` — rerun the same matrix on 1 thread and print
 //!   the wall-clock speedup.
@@ -316,6 +317,7 @@ fn run() -> Result<(), SuiteError> {
         threads: args.threads,
         sample_violations: args.sample_violations,
         task_ids: Some(task_ids),
+        trace: args.trace_out.is_some(),
     };
     let result = run_sweep_with_progress(&spec, if args.stream { Some(&stream_cb) } else { None });
 
@@ -349,31 +351,17 @@ fn run() -> Result<(), SuiteError> {
     }
 
     if let Some(trace_path) = &args.trace_out {
-        let mut text = String::new();
-        let mut traced = 0usize;
-        for record in &result.records {
-            let Some(stage_ns) = &record.stage_ns else {
-                continue; // errored tasks have no stage timings
-            };
-            let stages: Vec<(&str, u64)> = ds_obs::STAGES[..ds_obs::STAGES.len() - 1]
-                .iter()
-                .zip(stage_ns)
-                .map(|(name, ns)| (*name, *ns))
-                .collect();
-            let trace = ds_obs::trace::Trace::from_stage_durations(
-                &ds_harness::record_fingerprint(record),
-                "total",
-                stage_ns[stage_ns.len() - 1],
-                &stages,
-            );
-            text.push_str(&trace.render_jsonl());
-            traced += 1;
-        }
+        let traces: Vec<_> = result
+            .records
+            .iter()
+            .filter_map(|r| r.stage_ns.as_ref())
+            .collect();
+        let text: String = traces.iter().map(|t| t.render_jsonl()).collect();
         std::fs::write(trace_path, &text)
             .map_err(|e| SuiteError::Io(format!("writing {}: {e}", trace_path.display())))?;
         println!(
-            "# trace: {} per-task stage traces -> {} (render with: cargo run --release --bin ds-trace -- {})",
-            traced,
+            "# trace: {} per-task span trees -> {} (render with: cargo run --release --bin ds-trace -- {})",
+            traces.len(),
             trace_path.display(),
             trace_path.display()
         );
@@ -403,6 +391,7 @@ fn run() -> Result<(), SuiteError> {
         eprintln!("# rerunning on 1 thread for the speedup comparison…");
         let single = run_sweep(&SweepSpec {
             threads: 1,
+            trace: false,
             ..spec.clone()
         });
         summary_text.push_str(&artifacts::render_speedup(&single, &result));

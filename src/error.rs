@@ -10,6 +10,7 @@
 
 use ds_circuits::CircuitError;
 use ds_descriptor::DescriptorError;
+use ds_harness::BuildError;
 use ds_linalg::LinalgError;
 use ds_lmi::LmiError;
 use ds_netlist::ParseError;
@@ -138,6 +139,15 @@ impl From<ShhError> for SuiteError {
 impl From<LmiError> for SuiteError {
     fn from(e: LmiError) -> Self {
         SuiteError::Passivity(PassivityError::from(e))
+    }
+}
+
+impl From<BuildError> for SuiteError {
+    fn from(e: BuildError) -> Self {
+        match e {
+            BuildError::Circuit(e) => e.into(),
+            BuildError::Reduction(e) => e.into(),
+        }
     }
 }
 

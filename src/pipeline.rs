@@ -4,11 +4,12 @@
 //! parse → `ds-circuits` stamp → method dispatch → ad-hoc verdict formatting
 //! — with per-crate error types glued together stringly.  This module is the
 //! one true assembly: a [`PassivityCheck`] builder produces a
-//! [`CheckRequest`], and [`CheckRequest::run`] produces a [`CheckOutcome`]
-//! whose deterministic fields are *identical* to the record the sweep engine
-//! would emit for the same input (deck sources literally execute through
-//! [`ds_harness::run_single`]).  The `ds-serve` daemon, `ds-sweep`, the bench
-//! binaries and the examples all route through here.
+//! [`CheckRequest`], and [`CheckRequest::run`] sends every source through the
+//! record-producing check the sweep workers run ([`ds_harness::check`]), so
+//! each [`CheckOutcome`] is built from that record and its deterministic
+//! fields are *identical* to what the sweep engine would emit for the same
+//! input.  The `ds-serve` daemon, `ds-sweep`, the bench binaries and the
+//! examples all route through here.
 //!
 //! ```
 //! use ds_passivity_suite::prelude::*;
@@ -24,17 +25,16 @@
 
 use crate::error::SuiteError;
 use ds_circuits::generators::CircuitModel;
-use ds_circuits::{mna, Netlist};
+use ds_circuits::Netlist;
 use ds_descriptor::DescriptorSystem;
 use ds_harness::json;
 use ds_harness::scenario::Scenario;
-use ds_harness::sweep::{stage_ns_array, verdict_fields, TaskStatus};
-use ds_harness::{run_method, run_single, Method, SweepRecord, SweepTask, LMI_MAX_ORDER};
+use ds_harness::sweep::{verdict_fields, TaskStatus};
+use ds_harness::{Method, Subject, SweepRecord, LMI_MAX_ORDER};
 use ds_netlist::Deck;
 use ds_passivity::enforce::{enforce_passivity, EnforcementOptions, EnforcementOutcome};
 use ds_passivity::{PassivityReport, PassivityVerdict};
-use ds_shh::krylov::{self, ReduceSpec};
-use std::time::{Duration, Instant};
+use ds_shh::krylov::ReduceSpec;
 
 /// Version tag of the serialized verdict report ([`CheckOutcome::report_json`]).
 /// `v2` added the `reduced_order`/`residual` fields of the Krylov
@@ -112,91 +112,73 @@ pub struct RepairOutcome {
     pub reason: String,
 }
 
-/// The result of one check: the verdict plus everything a consumer needs to
-/// report, cache, or cross-check it.
+impl RepairOutcome {
+    /// The outcome for a verdict that is not a rejection: nothing to perturb.
+    pub fn unneeded(passive: bool) -> Self {
+        RepairOutcome {
+            enforced: false,
+            resistance: 0.0,
+            passive_after: passive,
+            reason: String::new(),
+        }
+    }
+}
+
+/// The result of one check: the check's record, the verdict summary copied
+/// out of it, and what only the check itself knows (display name, full deck
+/// hash, repair outcome, the method's report).  Identity, ground truth and
+/// timings — family, key (the record's `seed`), ports, `expected_passive`,
+/// `agrees`, `elapsed`, `reduction_ns` — are read from [`Self::record`].
 #[derive(Debug, Clone)]
 pub struct CheckOutcome {
     /// Display name of the source (not part of the serialized report: the
     /// same canonical deck checked under different file names must produce
     /// byte-identical reports).
     pub name: String,
-    /// Source family (`"deck"` for deck sources — matching the sweep engine's
-    /// family — `"netlist"` / `"model"` / `"system"` for in-memory ones).
-    pub family: &'static str,
-    /// Cache key: the 53-bit truncated canonical content hash for decks
-    /// (exactly the `seed` the sweep engine fingerprints deck tasks under),
-    /// 0 for in-memory sources.
-    pub key: u64,
     /// Full 64-bit canonical content hash, for deck sources.
     pub canonical_hash: Option<u64>,
-    /// The method that produced the verdict.
-    pub method: Method,
     /// How the check ended (method errors are recorded, not thrown, matching
     /// the sweep engine).
     pub status: TaskStatus,
-    /// MNA/state order of the checked system.
+    /// MNA/state order of the checked system (the *original* order on the
+    /// Krylov path, so the compression is visible).
     pub order: usize,
-    /// Port count.
-    pub ports: usize,
     /// The verdict (`None` when the method errored).
     pub passive: Option<bool>,
-    /// Whether a passive verdict was strict.
-    pub strict: bool,
     /// Stable reason slug for non-passive verdicts, or the error text.
     pub reason: String,
-    /// Ground truth, when the source carries one.
-    pub expected_passive: Option<bool>,
-    /// Whether the verdict matched the ground truth.
-    pub agrees: Option<bool>,
     /// Achieved reduced order, when the check ran through the Krylov
-    /// reduce-then-verify path ([`CheckOutcome::order`] keeps the *original*
-    /// order on that path, so the compression is visible).
+    /// reduce-then-verify path.
     pub reduced_order: Option<usize>,
     /// Krylov truncation residual of the reduction (`0` when exact).
     pub residual: Option<f64>,
-    /// Wall-clock nanoseconds of sparse stamp + projection (volatile —
-    /// excluded from [`CheckOutcome::report_json`]).
-    pub reduction_ns: Option<u64>,
-    /// Wall-clock time of the method run.
-    pub elapsed: Duration,
     /// Enforcement outcome when the request asked for repair.
     pub repair: Option<RepairOutcome>,
-    /// The full report of the underlying test, when the outcome was computed
-    /// through the in-memory path (absent for deck sources — which execute
-    /// through the sweep engine — and for outcomes reloaded from a store).
+    /// The full report of the underlying test (absent when the method
+    /// failed structurally and for outcomes reloaded from a store).
     pub report: Option<PassivityReport>,
-    /// The exact sweep-engine record this outcome corresponds to (present
-    /// for deck sources; the `ds-serve` daemon persists it in its result
-    /// store so restarted servers remember every verdict).
-    pub record: Option<SweepRecord>,
+    /// The record this outcome was built from (the `ds-serve` daemon
+    /// persists it in its result store).
+    pub record: SweepRecord,
 }
 
 impl CheckOutcome {
-    /// Reconstructs an outcome from a persisted sweep record — the store tier
-    /// of the `ds-serve` cache.  [`CheckOutcome::report_json`] of the
-    /// reconstruction is byte-identical to the freshly-computed report.
+    /// Builds an outcome from a check's record, or from a persisted one (the
+    /// store tier of the `ds-serve` cache): [`CheckOutcome::report_json`] of
+    /// either is byte-identical.
     pub fn from_record(record: &SweepRecord) -> CheckOutcome {
         CheckOutcome {
             name: record.scenario.clone(),
-            family: record.family,
-            key: record.seed,
             canonical_hash: None,
-            method: Method::parse(record.method).unwrap_or(Method::Proposed),
             status: record.status,
             order: record.order,
-            ports: record.ports,
             passive: record.passive,
-            strict: record.strict,
             reason: record.reason.clone(),
-            expected_passive: record.expected_passive,
-            agrees: record.agrees,
             reduced_order: record.reduced_order,
             residual: record.residual,
-            reduction_ns: record.reduction_ns,
-            elapsed: record.elapsed,
             repair: None,
             report: None,
-            record: Some(record.clone()),
+            record: record.clone(),
         }
     }
 
@@ -219,17 +201,17 @@ impl CheckOutcome {
         format!(
             "{{\"schema\":{},\"family\":{},\"key\":{},\"method\":{},\"status\":{},\"order\":{},\"ports\":{},\"passive\":{},\"strict\":{},\"reason\":{},\"expected_passive\":{},\"agrees\":{},\"reduced_order\":{},\"residual\":{},\"repair\":{}}}",
             json::quote(REPORT_SCHEMA),
-            json::quote(self.family),
-            self.key,
-            json::quote(self.method.name()),
+            json::quote(self.record.family),
+            self.record.seed,
+            json::quote(self.record.method),
             json::quote(self.status.name()),
             self.order,
-            self.ports,
+            self.record.ports,
             json::opt_bool(self.passive),
-            self.strict,
+            self.record.strict,
             json::quote(&self.reason),
-            json::opt_bool(self.expected_passive),
-            json::opt_bool(self.agrees),
+            json::opt_bool(self.record.expected_passive),
+            json::opt_bool(self.record.agrees),
             json::opt_usize(self.reduced_order),
             json::opt_number(self.residual),
             repair
@@ -344,19 +326,6 @@ impl PassivityCheck {
     }
 }
 
-/// Replays per-stage timings onto the active trace (if any) as zero-width
-/// child spans named with the canonical [`ds_obs::STAGES`] list — the one
-/// clock path both the bench binaries and the daemon's stage histograms
-/// read from.  A no-op when the calling thread is not tracing.
-fn emit_stage_spans(stage_ns: &[u64; 8]) {
-    if !ds_obs::trace::is_active() {
-        return;
-    }
-    for (name, ns) in ds_obs::STAGES.iter().zip(stage_ns) {
-        ds_obs::trace::emit_ns(name, *ns);
-    }
-}
-
 fn gate_lmi(method: Method, order: usize) -> Result<(), SuiteError> {
     if method == Method::Lmi && order > LMI_MAX_ORDER {
         return Err(SuiteError::Unsupported(format!(
@@ -367,30 +336,22 @@ fn gate_lmi(method: Method, order: usize) -> Result<(), SuiteError> {
 }
 
 fn repair_outcome(system: &DescriptorSystem) -> Result<RepairOutcome, SuiteError> {
-    match enforce_passivity(system, &EnforcementOptions::default())? {
-        EnforcementOutcome::AlreadyPassive { .. } => Ok(RepairOutcome {
-            enforced: false,
-            resistance: 0.0,
-            passive_after: true,
-            reason: String::new(),
-        }),
-        EnforcementOutcome::Enforced { resistance, .. } => Ok(RepairOutcome {
+    let outcome = match enforce_passivity(system, &EnforcementOptions::default())? {
+        EnforcementOutcome::AlreadyPassive { .. } => RepairOutcome::unneeded(true),
+        EnforcementOutcome::Enforced { resistance, .. } => RepairOutcome {
             enforced: true,
             resistance,
-            passive_after: true,
-            reason: String::new(),
-        }),
+            ..RepairOutcome::unneeded(true)
+        },
         EnforcementOutcome::NotEnforceable { reason } => {
-            let verdict = PassivityVerdict::NotPassive { reason };
-            let (_, _, slug) = verdict_fields(&verdict);
-            Ok(RepairOutcome {
-                enforced: false,
-                resistance: 0.0,
-                passive_after: false,
+            let (_, _, slug) = verdict_fields(&PassivityVerdict::NotPassive { reason });
+            RepairOutcome {
                 reason: slug.to_string(),
-            })
+                ..RepairOutcome::unneeded(false)
+            }
         }
-    }
+    };
+    Ok(outcome)
 }
 
 impl CheckRequest {
@@ -399,51 +360,29 @@ impl CheckRequest {
     /// # Errors
     ///
     /// Returns [`SuiteError::Parse`] (with line/column) for malformed deck
-    /// text, [`SuiteError::Circuit`] for stamping failures, and
-    /// [`SuiteError::Unsupported`] for the LMI baseline above its practical
-    /// order limit.  A *structurally failing method* is not an error: it is
-    /// recorded in [`CheckOutcome::status`], matching the sweep engine.
+    /// text, [`SuiteError::Circuit`] for stamping failures (whatever source
+    /// carried the netlist), [`SuiteError::Passivity`] for a failed Krylov
+    /// projection, and [`SuiteError::Unsupported`] for the LMI baseline
+    /// above its practical order limit.  A *structurally failing method* is
+    /// not an error: it is recorded in [`CheckOutcome::status`], matching the
+    /// sweep engine.
     pub fn run(&self) -> Result<CheckOutcome, SuiteError> {
         let _check_span = ds_obs::trace::span("check");
+        let reduce = self.reduce.as_ref();
         match &self.source {
             CheckSource::DeckText { name, text } => {
-                let deck = {
-                    let _parse_span = ds_obs::trace::span("parse");
-                    ds_netlist::parse_deck(text)?
-                };
-                let name = name
-                    .clone()
-                    .unwrap_or_else(|| format!("{:016x}", deck.content_hash()));
-                if let Some(spec) = &self.reduce {
-                    return self.run_reduced(&name, &deck.netlist, deck.expect, Some(&deck), spec);
-                }
-                self.run_deck(&name, &deck)
+                let deck = ds_obs::trace::in_span("parse", || ds_netlist::parse_deck(text))?;
+                let hash = deck.content_hash();
+                let name = name.clone().unwrap_or_else(|| format!("{hash:016x}"));
+                self.execute_deck(&name, &deck, hash)
             }
-            CheckSource::Deck { name, deck } => {
-                if let Some(spec) = &self.reduce {
-                    return self.run_reduced(name, &deck.netlist, deck.expect, Some(deck), spec);
-                }
-                self.run_deck(name, deck)
-            }
+            CheckSource::Deck { name, deck } => self.execute_deck(name, deck, deck.content_hash()),
             CheckSource::Netlist { name, netlist } => {
-                if let Some(spec) = &self.reduce {
-                    return self.run_reduced(name, netlist, None, None, spec);
-                }
-                let system = {
-                    let _stamp_span = ds_obs::trace::span("stamp");
-                    mna::stamp(netlist)?
-                };
-                let model = CircuitModel {
-                    name: name.clone(),
-                    system,
-                    expected_passive: netlist.is_passive_by_construction(),
-                    has_impulsive_modes: false,
-                };
-                self.run_model(&model, "netlist", true)
+                self.execute(Subject::Netlist(name, netlist, reduce))
             }
             CheckSource::Model(model) => {
                 self.reject_reduce("model")?;
-                self.run_model(model, "model", true)
+                self.execute(Subject::Model(model, true))
             }
             CheckSource::System { name, system } => {
                 self.reject_reduce("system")?;
@@ -453,7 +392,7 @@ impl CheckRequest {
                     expected_passive: false,
                     has_impulsive_modes: false,
                 };
-                self.run_model(&model, "system", false)
+                self.execute(Subject::Model(&model, false))
             }
         }
     }
@@ -467,178 +406,36 @@ impl CheckRequest {
         Ok(())
     }
 
-    /// The reduce-then-verify path: sparse MNA stamp, PRIMA-style projection,
-    /// then the ordinary dense check on the reduced model.  The outcome keeps
-    /// the *original* order in [`CheckOutcome::order`] and records the
-    /// achieved order / truncation residual / reduction time.
-    fn run_reduced(
-        &self,
-        name: &str,
-        netlist: &Netlist,
-        expect: Option<bool>,
-        deck: Option<&Deck>,
-        spec: &ReduceSpec,
-    ) -> Result<CheckOutcome, SuiteError> {
-        let start = Instant::now();
-        let sparse = {
-            let _stamp_span = ds_obs::trace::span("stamp_sparse");
-            mna::stamp_sparse(netlist)?
-        };
-        let original_order = sparse.order();
-        let reduction = {
-            let _reduce_span = ds_obs::trace::span("reduce");
-            krylov::reduce_prima(
-                &sparse.c_matrix(),
-                &sparse.g_matrix(),
-                &sparse.b_dense(),
-                spec,
-            )?
-        };
-        let reduction_ns = start.elapsed().as_nanos() as u64;
-        // Ground truth without the dense whole-matrix PSD check of
-        // `is_passive_by_construction`: a successful sparse stamp has already
-        // validated the coupled inductance blocks per connected component, so
-        // passivity-by-construction reduces to element-wise passivity.
-        let expected = expect.unwrap_or_else(|| {
-            netlist
-                .elements
-                .iter()
-                .all(ds_circuits::Element::is_passive)
-        });
-        let model = CircuitModel {
-            name: name.to_string(),
-            system: reduction.system,
-            expected_passive: expected,
-            has_impulsive_modes: false,
-        };
-        let family = if deck.is_some() { "deck" } else { "netlist" };
-        let mut outcome = self.run_model(&model, family, true)?;
-        outcome.order = original_order;
-        outcome.reduced_order = Some(reduction.reduced_order);
-        outcome.residual = Some(reduction.residual);
-        outcome.reduction_ns = Some(reduction_ns);
-        if let Some(deck) = deck {
-            let hash = deck.content_hash();
-            outcome.canonical_hash = Some(hash);
-            outcome.key = ds_harness::deck_seed(hash);
-        }
-        Ok(outcome)
-    }
-
-    /// Deck sources execute through the sweep engine's single-task entry
-    /// point, so the outcome's deterministic fields — and therefore the
-    /// daemon's cached reports — are identical to what `ds-sweep --decks`
-    /// records for the same canonical deck.
-    fn run_deck(&self, name: &str, deck: &Deck) -> Result<CheckOutcome, SuiteError> {
-        let scenario = Scenario::from_deck(name, deck);
-        gate_lmi(self.method, scenario.order())?;
-        let task = SweepTask {
-            scenario,
-            method: self.method,
-        };
-        let record = {
-            let _method_span = ds_obs::trace::span("method");
-            let record = run_single(&task, 0);
-            if let Some(stage_ns) = &record.stage_ns {
-                emit_stage_spans(stage_ns);
-            }
-            record
-        };
-        if record.status == TaskStatus::BuildError {
-            // The deck parsed but cannot be stamped (e.g. an indefinite
-            // coupled-inductance block): surface it as a circuit error.
-            return Err(SuiteError::Harness(format!(
-                "stamping deck '{name}': {}",
-                record.reason
-            )));
-        }
-        let mut outcome = CheckOutcome::from_record(&record);
+    fn execute_deck(&self, name: &str, deck: &Deck, hash: u64) -> Result<CheckOutcome, SuiteError> {
+        let mut outcome = self.execute(Subject::Deck(name, deck, self.reduce.as_ref()))?;
         outcome.name = name.to_string();
-        outcome.canonical_hash = Some(deck.content_hash());
-        if self.repair {
-            let _repair_span = ds_obs::trace::span("repair");
-            outcome.repair = Some(if outcome.passive == Some(false) {
-                let system = mna::stamp(&deck.netlist)?;
-                repair_outcome(&system)?
-            } else {
-                RepairOutcome {
-                    enforced: false,
-                    resistance: 0.0,
-                    passive_after: outcome.passive == Some(true),
-                    reason: String::new(),
-                }
-            });
-        }
+        outcome.canonical_hash = Some(hash);
         Ok(outcome)
     }
 
-    fn run_model(
-        &self,
-        model: &CircuitModel,
-        family: &'static str,
-        has_ground_truth: bool,
-    ) -> Result<CheckOutcome, SuiteError> {
-        gate_lmi(self.method, model.system.order())?;
-        let mut outcome = CheckOutcome {
-            name: model.name.clone(),
-            family,
-            key: 0,
-            canonical_hash: None,
-            method: self.method,
-            status: TaskStatus::Ok,
-            order: model.system.order(),
-            ports: model.system.num_inputs(),
-            passive: None,
-            strict: false,
-            reason: String::new(),
-            expected_passive: has_ground_truth.then_some(model.expected_passive),
-            agrees: None,
-            reduced_order: None,
-            residual: None,
-            reduction_ns: None,
-            elapsed: Duration::ZERO,
-            repair: None,
-            report: None,
-            record: None,
-        };
-        let start = Instant::now();
-        let result = {
-            let _method_span = ds_obs::trace::span("method");
-            let result = run_method(self.method, model);
-            if let Ok(report) = &result {
-                emit_stage_spans(&stage_ns_array(&report.timings));
-            }
-            result
-        };
-        match result {
-            Ok(report) => {
-                outcome.elapsed = start.elapsed();
-                let (passive, strict, slug) = verdict_fields(&report.verdict);
-                outcome.passive = Some(passive);
-                outcome.strict = strict;
-                outcome.reason = slug.to_string();
-                if has_ground_truth {
-                    outcome.agrees = Some(passive == model.expected_passive);
-                }
-                outcome.report = Some(report);
-            }
-            Err(e) => {
-                outcome.elapsed = start.elapsed();
-                outcome.status = TaskStatus::MethodError;
-                outcome.reason = e.to_string();
-            }
+    /// Gates LMI on the order the method runs at, builds the model, runs
+    /// the check, and repairs that same model on request.  A dense check is
+    /// gated before stamping; the Krylov path knows its order only once
+    /// reduced.
+    fn execute(&self, subject: Subject<'_>) -> Result<CheckOutcome, SuiteError> {
+        if self.reduce.is_none() {
+            gate_lmi(self.method, subject.order())?;
         }
+        let mut check = subject
+            .build(self.method)
+            .map_err(|failed| SuiteError::from(failed.1))?;
+        if self.reduce.is_some() {
+            gate_lmi(self.method, check.model.system.order())?;
+        }
+        check.run();
+        let mut outcome = CheckOutcome::from_record(&check.record);
+        outcome.report = check.report;
         if self.repair {
-            let _repair_span = ds_obs::trace::span("repair");
-            outcome.repair = Some(if outcome.passive == Some(false) {
-                repair_outcome(&model.system)?
-            } else {
-                RepairOutcome {
-                    enforced: false,
-                    resistance: 0.0,
-                    passive_after: outcome.passive == Some(true),
-                    reason: String::new(),
+            outcome.repair = Some(match outcome.passive {
+                Some(false) => {
+                    ds_obs::trace::in_span("repair", || repair_outcome(&check.model.system))?
                 }
+                passive => RepairOutcome::unneeded(passive == Some(true)),
             });
         }
         Ok(outcome)
@@ -662,6 +459,7 @@ mod tests {
     use super::*;
     use ds_circuits::generators;
     use ds_harness::{run_sweep, scenario_matrix, SweepSpec};
+    use std::time::Duration;
 
     const DECK: &str =
         "* divider\nR1 in mid 2\nL1 mid out 0.5\nC1 out 0 1\nR2 out 0 10\n.port in\n.end\n";
@@ -669,14 +467,13 @@ mod tests {
     #[test]
     fn deck_text_checks_and_names_default_to_the_hash() {
         let outcome = PassivityCheck::deck_text(DECK).run().unwrap();
-        assert_eq!(outcome.family, "deck");
+        assert_eq!(outcome.record.family, "deck");
         assert_eq!(outcome.status, TaskStatus::Ok);
         assert_eq!(outcome.passive, Some(true));
-        assert_eq!(outcome.agrees, Some(true));
+        assert_eq!(outcome.record.agrees, Some(true));
         let hash = outcome.canonical_hash.unwrap();
         assert_eq!(outcome.name, format!("{hash:016x}"));
-        assert_eq!(outcome.key, ds_harness::deck_seed(hash));
-        assert!(outcome.record.is_some());
+        assert_eq!(outcome.record.seed, ds_harness::deck_seed(hash));
     }
 
     #[test]
@@ -719,10 +516,20 @@ mod tests {
     #[test]
     fn report_json_is_identical_with_and_without_volatile_timings() {
         let outcome = PassivityCheck::deck_text(DECK).run().unwrap();
-        let record = outcome.record.clone().expect("deck record");
-        // The record must actually carry timings, or the exclusion check
-        // below would pass vacuously.
-        assert!(record.stage_ns.is_some(), "record lost its stage timings");
+        // A traced sweep of the same deck carries the volatile fields; they
+        // must be populated, or the exclusion check below would pass
+        // vacuously.
+        let deck = ds_netlist::parse_deck(DECK).unwrap();
+        let tasks = scenario_matrix(
+            &[Scenario::from_deck("divider", &deck)],
+            &[Method::Proposed],
+        );
+        let sweep = run_sweep(&SweepSpec {
+            trace: true,
+            ..SweepSpec::new(tasks, 1)
+        });
+        let record = sweep.records[0].clone();
+        assert!(record.stage_ns.is_some(), "record lost its span tree");
         assert!(record.elapsed > Duration::ZERO);
         let mut stripped = record.clone();
         stripped.stage_ns = None;
@@ -731,6 +538,10 @@ mod tests {
         assert_eq!(
             CheckOutcome::from_record(&record).report_json(),
             CheckOutcome::from_record(&stripped).report_json()
+        );
+        assert_eq!(
+            outcome.report_json(),
+            CheckOutcome::from_record(&record).report_json()
         );
         for leaked in ["stage_ns", "elapsed", "worker", "start_ns"] {
             assert!(
@@ -748,26 +559,62 @@ mod tests {
         let trace = ds_obs::trace::end().expect("trace");
         // Verdicts are byte-identical with tracing on.
         assert_eq!(untraced.report_json(), traced.report_json());
-        let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_str()).collect();
-        for expected in ["check", "parse", "method"] {
-            assert!(
-                names.contains(&expected),
-                "missing span {expected}: {names:?}"
-            );
-        }
-        for stage in ds_obs::STAGES {
-            assert!(
-                names.contains(&stage),
-                "missing stage span {stage}: {names:?}"
-            );
-        }
-        let find = |name: &str| trace.spans.iter().find(|s| s.name == name).unwrap();
+        let find = |name: &str| trace.spans.iter().find(|s| s.name == name).expect(name);
         assert_eq!(find("check").parent, None);
-        assert_eq!(find("parse").parent, Some(find("check").seq));
-        assert_eq!(find("total").parent, Some(find("method").seq));
-        assert!(find("total").elapsed_ns > 0);
-        let stage_sum: u64 = ds_obs::STAGES[..7].iter().map(|s| find(s).elapsed_ns).sum();
-        assert_eq!(stage_sum, find("total").elapsed_ns);
+        for child in ["parse", "stamp", "method"] {
+            assert_eq!(find(child).parent, Some(find("check").seq), "{child}");
+        }
+        // The proposed test's stages run under `method`, once each, and add
+        // up to no more than it.
+        let method = find("method");
+        for stage in &ds_obs::STAGES[2..] {
+            assert_eq!(find(stage).parent, Some(method.seq), "{stage}");
+        }
+        assert!(method.elapsed_ns > 0);
+        let stage_sum: u64 = ds_obs::STAGES[2..].iter().map(|s| find(s).elapsed_ns).sum();
+        assert!(stage_sum <= method.elapsed_ns);
+        assert!(trace
+            .spans
+            .iter()
+            .all(|s| !ds_obs::STAGES[..2].contains(&&*s.name)));
+    }
+
+    fn traced(check: PassivityCheck) -> (CheckOutcome, ds_obs::trace::Trace) {
+        ds_obs::trace::begin("stage-spans");
+        let outcome = check.run().unwrap();
+        (outcome, ds_obs::trace::end().unwrap())
+    }
+
+    #[test]
+    fn proposed_stage_spans_cover_the_method_span() {
+        let model = generators::rlc_ladder_with_impulsive(60).unwrap();
+        let (outcome, trace) = traced(PassivityCheck::model(model));
+        assert_eq!(outcome.passive, Some(true));
+        let method = trace.spans.iter().find(|s| s.name == "method").unwrap();
+        let stages: Vec<_> = trace
+            .spans
+            .iter()
+            .filter(|s| s.parent == Some(method.seq))
+            .collect();
+        let names: Vec<&str> = stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ds_obs::STAGES[2..]);
+        let covered: u64 = stages.iter().map(|s| s.elapsed_ns).sum();
+        let share = covered as f64 / method.elapsed_ns as f64;
+        assert!(
+            (0.99..=1.0).contains(&share),
+            "stages cover {share:.4} of `method`"
+        );
+    }
+
+    #[test]
+    fn baseline_traces_hold_no_stage_span() {
+        let model = generators::rlc_ladder_with_impulsive(12).unwrap();
+        for method in [Method::Weierstrass, Method::Lmi] {
+            let (outcome, trace) = traced(PassivityCheck::model(model.clone()).method(method));
+            assert_eq!(outcome.passive, Some(true), "{method}");
+            let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_str()).collect();
+            assert_eq!(names, ["check", "method"], "{method}");
+        }
     }
 
     #[test]
@@ -775,7 +622,7 @@ mod tests {
         let model = generators::nonpassive_ladder(8).unwrap();
         let outcome = PassivityCheck::model(model).run().unwrap();
         assert_eq!(outcome.passive, Some(false));
-        assert_eq!(outcome.agrees, Some(true));
+        assert_eq!(outcome.record.agrees, Some(true));
         assert!(outcome.report.is_some());
         assert!(!outcome.reason.is_empty());
     }
@@ -785,8 +632,8 @@ mod tests {
         let model = generators::rc_ladder(4, 1.0, 1.0).unwrap();
         let outcome = PassivityCheck::system("bare", model.system).run().unwrap();
         assert_eq!(outcome.passive, Some(true));
-        assert_eq!(outcome.expected_passive, None);
-        assert_eq!(outcome.agrees, None);
+        assert_eq!(outcome.record.expected_passive, None);
+        assert_eq!(outcome.record.agrees, None);
     }
 
     #[test]
@@ -828,12 +675,12 @@ mod tests {
             .unwrap();
         assert_eq!(reduced.passive, dense.passive);
         assert_eq!(reduced.passive, Some(true));
-        assert_eq!(reduced.agrees, Some(true));
+        assert_eq!(reduced.record.agrees, Some(true));
         // The outcome reports the original order plus the compression.
         assert_eq!(reduced.order, dense.order);
         assert_eq!(reduced.reduced_order, Some(48));
         assert!(reduced.residual.unwrap() >= 0.0);
-        assert!(reduced.reduction_ns.unwrap() > 0);
+        assert!(reduced.record.reduction_ns.unwrap() > 0);
         assert!(dense.reduced_order.is_none());
         // The reduction shows up in the stable report; its timing does not.
         let report = reduced.report_json();
@@ -862,9 +709,48 @@ mod tests {
         assert_eq!(outcome.reduced_order, Some(outcome.order));
         assert_eq!(outcome.residual, Some(0.0));
         let direct = PassivityCheck::deck_text(DECK).run().unwrap();
-        assert_eq!(outcome.key, direct.key);
+        assert_eq!(outcome.record.seed, direct.record.seed);
         assert_eq!(outcome.canonical_hash, direct.canonical_hash);
-        assert_eq!(outcome.family, "deck");
+        assert_eq!(outcome.record.family, "deck");
+    }
+
+    #[test]
+    fn unstampable_decks_fail_with_one_error_kind_whatever_the_source() {
+        // Parses, but the joint coupled inductance matrix is indefinite.
+        let text = "LA a 0 1\nLB b 0 1\nLC c 0 1\nK1 LA LB 0.9\nK2 LB LC 0.9\nK3 LA LC -0.9\n.port a\n.end\n";
+        let deck = ds_netlist::parse_deck(text).unwrap();
+        let as_deck = PassivityCheck::deck("bad", deck.clone()).run().unwrap_err();
+        let as_netlist = PassivityCheck::netlist("bad", deck.netlist)
+            .run()
+            .unwrap_err();
+        assert_eq!(as_deck.kind(), "circuit", "{as_deck}");
+        assert_eq!(as_netlist.kind(), "circuit", "{as_netlist}");
+    }
+
+    #[test]
+    fn krylov_breakdowns_surface_as_passivity_errors_and_build_error_records() {
+        // A port across one node has a zero input column, so the Krylov
+        // start block K⁻¹B vanishes once the order exceeds the target.
+        let mut netlist = generators::reduced_ladder_netlist(10, false).unwrap();
+        netlist.ports[0].node_minus = netlist.ports[0].node_plus;
+        let spec = ReduceSpec {
+            target_order: 4,
+            ..ReduceSpec::default()
+        };
+        let err = PassivityCheck::netlist("degenerate", netlist.clone())
+            .reduce(spec)
+            .run()
+            .unwrap_err();
+        assert_eq!(err.kind(), "passivity", "{err}");
+        assert!(err.to_string().contains("start block vanished"), "{err}");
+        // The record the sweep workers' check produces names the failure.
+        let subject = Subject::Netlist("degenerate", &netlist, Some(&spec));
+        let record = subject.build(Method::Proposed).unwrap_err().0;
+        assert_eq!(record.status, TaskStatus::BuildError);
+        assert!(
+            record.reason.starts_with("krylov reduction failed: "),
+            "{record:?}"
+        );
     }
 
     #[test]
@@ -890,5 +776,15 @@ mod tests {
             .run()
             .unwrap_err();
         assert_eq!(err.kind(), "unsupported");
+        // A dense deck is refused before it is stamped.
+        let netlist = generators::reduced_ladder_netlist(40, false).unwrap();
+        ds_obs::trace::begin("lmi-gate");
+        let err = PassivityCheck::deck_text(ds_netlist::render_netlist(&netlist, None))
+            .method(Method::Lmi)
+            .run()
+            .unwrap_err();
+        let trace = ds_obs::trace::end().expect("trace");
+        assert_eq!(err.kind(), "unsupported");
+        assert!(trace.spans.iter().all(|s| s.name != "stamp"));
     }
 }

@@ -47,7 +47,7 @@ fn reduced_verdicts_agree_with_dense_on_overlap_orders() {
                     assert_eq!(reduced_order, 48, "{name}: truncated to target order");
                 }
                 assert!(
-                    reduced.reduction_ns.is_some(),
+                    reduced.record.reduction_ns.is_some(),
                     "{name}: reduction timing must be recorded"
                 );
             }
@@ -71,7 +71,7 @@ fn reduced_ladders_are_passive_at_every_overlap_order() {
             "sections={sections} must verify passive"
         );
         assert_eq!(
-            outcome.agrees,
+            outcome.record.agrees,
             Some(true),
             "sections={sections} expectation"
         );
