@@ -48,10 +48,11 @@ impl From<CircuitError> for BuildError {
 pub enum Subject<'a> {
     /// A sweep scenario: a generator family or a parsed deck.
     Scenario(&'a Scenario),
-    /// `(name, deck, reduce)`: a parsed deck (family `deck`, keyed by its
-    /// canonical hash), stamped densely or, with a reduce spec,
+    /// `(name, deck, hash, reduce)`: a parsed deck (family `deck`, keyed by
+    /// `hash`, its canonical hash [`Deck::content_hash`], which the caller
+    /// has already rendered), stamped densely or, with a reduce spec,
     /// Krylov-reduced.
-    Deck(&'a str, &'a Deck, Option<&'a ReduceSpec>),
+    Deck(&'a str, &'a Deck, u64, Option<&'a ReduceSpec>),
     /// `(name, netlist, reduce)`: an in-memory netlist (family `netlist`),
     /// stamped densely or Krylov-reduced.
     Netlist(&'a str, &'a Netlist, Option<&'a ReduceSpec>),
@@ -108,10 +109,10 @@ impl<'a> Subject<'a> {
     fn record(&self, method: Method) -> SweepRecord {
         let (family, ports, seed, margin) = match *self {
             Subject::Scenario(s) => (s.family.name(), s.ports, s.seed, s.margin),
-            Subject::Deck(_, deck, _) => (
+            Subject::Deck(_, deck, hash, _) => (
                 FamilyKind::Deck.name(),
                 deck.netlist.ports.len(),
-                deck_seed(deck.content_hash()),
+                deck_seed(hash),
                 0.0,
             ),
             Subject::Netlist(_, n, _) => ("netlist", n.ports.len(), 0, 0.0),
@@ -136,7 +137,7 @@ impl<'a> Subject<'a> {
     pub fn order(&self) -> usize {
         match *self {
             Subject::Scenario(s) => s.order(),
-            Subject::Deck(_, deck, _) => deck.netlist.state_dimension(),
+            Subject::Deck(_, deck, ..) => deck.netlist.state_dimension(),
             Subject::Netlist(_, n, _) => n.state_dimension(),
             Subject::Model(model, _) => model.system.order(),
         }
@@ -175,7 +176,7 @@ impl<'a> Subject<'a> {
                 let _span = (s.family != FamilyKind::Deck).then(|| span("build"));
                 s.build().map(|model| (Cow::Owned(model), None))
             }
-            Subject::Deck(name, deck, reduce) => {
+            Subject::Deck(name, deck, _, reduce) => {
                 netlist_model(format!("deck({name})"), &deck.netlist, deck.expect, reduce)
                     .map(|(model, stats)| (Cow::Owned(model), stats))
             }

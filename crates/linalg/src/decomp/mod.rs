@@ -4,6 +4,8 @@
 //! helpers built on top of it:
 //!
 //! * [`lu`] — LU with partial pivoting, linear solves, determinant, inverse.
+//! * [`ldlt`] — Bunch–Kaufman `LDLᵀ` of symmetric indefinite matrices and
+//!   their exactly symmetric inverse.
 //! * [`qr`] — Householder QR (thin and full), least squares.
 //! * [`cholesky`] — Cholesky factorization of symmetric positive definite matrices.
 //! * [`hessenberg`] — orthogonal reduction to upper Hessenberg form.
@@ -13,6 +15,7 @@
 
 pub mod cholesky;
 pub mod hessenberg;
+pub mod ldlt;
 pub mod lu;
 pub mod qr;
 pub mod schur;

@@ -120,9 +120,15 @@ fn jacobi_svd(a: &Matrix, want_v: bool) -> Result<Svd, LinalgError> {
                 if apq.abs() <= eps * (app * aqq).sqrt() {
                     continue;
                 }
-                rotated = true;
                 let zeta = (aqq - app) / (2.0 * apq);
                 let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
+                // The test above sits at the rounding level of the dot product
+                // itself, so a pair can stall just above it, where a rotation
+                // by an angle below ε only flips last bits back and forth: a
+                // sweep that needed no larger rotation ends the iteration.
+                if t.abs() > eps {
+                    rotated = true;
+                }
                 let c = 1.0 / (1.0 + t * t).sqrt();
                 let s = c * t;
                 // Rotate columns p and q of W and V.
@@ -242,6 +248,39 @@ impl Svd {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_rotation_too_small_to_move_the_columns_ends_the_sweeps() {
+        // Each 2×2 block stalls one rotation short of the stop test: its
+        // columns are orthogonal to within the dot product's rounding, yet
+        // |apq| stays at 1.3·ε·‖p‖‖q‖, and rotations by ±1.7e-16 rad flipped
+        // the last bits of one column back and forth until the sweep limit.
+        let a = Matrix::from_vec(
+            4,
+            4,
+            vec![
+                0.0,
+                0.0,
+                216929.53460802417,
+                -602408.1767128783,
+                0.0,
+                0.0,
+                -606843.5613613843,
+                216929.53460802414,
+                216929.5346080242,
+                -602408.1767128783,
+                0.0,
+                0.0,
+                -606843.5613613845,
+                216929.53460802417,
+                0.0,
+                0.0,
+            ],
+        );
+        let d = svd(&a).unwrap();
+        assert!(d.reconstruct().approx_eq(&a, 1e-9 * a.norm_max()));
+        assert_eq!(d.rank(1e-12), 4);
+    }
 
     fn check_svd(a: &Matrix, tol: f64) -> Svd {
         let d = svd(a).unwrap();

@@ -5,9 +5,11 @@
 //! `A`: the range of `(I - sign(A))/2` is the invariant subspace associated
 //! with the open left half-plane.  The DAC 2006 passivity test uses this to
 //! split the spectrum of the Hamiltonian matrix `A₄₄` (paper eq. (22)) without
-//! requiring ordered Schur forms.
+//! requiring ordered Schur forms; [`hamiltonian_sign_into`] runs that
+//! iteration on the symmetric `J·Z`, the general [`matrix_sign_into`] serves
+//! every other caller.
 
-use crate::decomp::lu;
+use crate::decomp::{ldlt, lu};
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
 use crate::subspace;
@@ -183,6 +185,191 @@ pub fn matrix_sign_into(
     })
 }
 
+/// Computes `sign(H)` of a Hamiltonian matrix `H` (`J·H` symmetric, with
+/// `J = [[0, I], [−I, 0]]`) by the structure-preserving Newton iteration of
+/// R. Byers ("Solving the algebraic Riccati equation with the matrix sign
+/// function", Linear Algebra Appl. 85, 1987).
+///
+/// The iterate is carried as the symmetric `S = J·Z` and updated as
+/// `S ← ½(c·S + c⁻¹·J S⁻¹ J)`, which is [`matrix_sign_into`]'s
+/// `Z ← ½(c·Z + (c·Z)⁻¹)` with the same scaling and stopping rule
+/// (`‖S‖_F = ‖Z‖_F`, `‖S⁻¹‖_F = ‖Z⁻¹‖_F`), but each step inverts a
+/// symmetric matrix through a Bunch–Kaufman `LDLᵀ` ([`ldlt`]) at half the
+/// flops of LU.  Only the Hamiltonian part of `h` is used: `J·H` is
+/// symmetrized first, and every iterate stays exactly symmetric.  `out`
+/// receives `sign(H) = Jᵀ·S`, so `J·out` is exactly symmetric.
+///
+/// A singular iterate ends the iteration, so the `LDLᵀ` pivot test must
+/// decide no more eagerly than [`matrix_sign_into`]'s LU test: a pivot the
+/// `LDLᵀ` flags is confirmed with that LU test on `Z = Jᵀ·S`, and an iterate
+/// the LU test finds regular takes its step through the LU inverse.
+///
+/// Returns the number of Newton iterations performed.
+///
+/// # Errors
+///
+/// * [`LinalgError::NotSquare`] for rectangular and
+///   [`LinalgError::InvalidInput`] for odd-dimensional input.
+/// * [`LinalgError::Singular`] when the LU test confirms a singular iterate
+///   (an eigenvalue on, or numerically on, the imaginary axis).
+/// * [`LinalgError::ConvergenceFailure`] if the iteration stalls — which is
+///   how a simple eigenvalue exactly on the imaginary axis ends: the exact
+///   structure keeps it there, where the general iteration's roundoff
+///   drifts it off the axis.
+pub fn hamiltonian_sign_into(
+    h: &Matrix,
+    options: &SignOptions,
+    ws: &mut EigenWorkspace,
+    out: &mut Matrix,
+) -> Result<usize, LinalgError> {
+    if !h.is_square() {
+        return Err(LinalgError::NotSquare {
+            operation: "sign::hamiltonian_sign",
+            shape: h.shape(),
+        });
+    }
+    let m = h.rows();
+    if !m.is_multiple_of(2) {
+        return Err(LinalgError::invalid_input(
+            "sign::hamiltonian_sign needs an even dimension",
+        ));
+    }
+    if m == 0 {
+        out.resize_uninit(0, 0);
+        return Ok(0);
+    }
+    let n = m / 2;
+    j_mul_symmetrized(h, out, n);
+    let stop_tol = options.tolerance.sqrt();
+    for iteration in 1..=options.max_iterations {
+        // ws.w2 ← J S⁻¹ J (ws.w1 is the inverse's scratch).
+        ldlt::factor_into(out, &mut ws.ldlt)?;
+        let log_abs_det = if ws.ldlt.singular {
+            ws.t.copy_from(out);
+            jt_mul_in_place(&mut ws.t, n);
+            lu::factor_into(&ws.t, &mut ws.lu)?;
+            if ws.lu.singular {
+                return Err(LinalgError::Singular {
+                    operation: "sign::hamiltonian_sign (eigenvalue on the imaginary axis?)",
+                });
+            }
+            // Z⁻¹ = S⁻¹·J, so J S⁻¹ J = J·Z⁻¹ (symmetric up to roundoff).
+            ws.lu.inverse_into_ws(&mut ws.w1, &mut ws.w2)?;
+            j_mul_symmetrized(&ws.w1, &mut ws.w2, n);
+            ws.lu.log_abs_det()
+        } else {
+            ws.ldlt.inverse_into(&mut ws.w1, &mut ws.w2)?;
+            conjugate_by_j(&ws.w1, &mut ws.w2, n);
+            ws.ldlt.log_abs_det()
+        };
+        let c = match options.scaling {
+            SignScaling::Frobenius => (ws.w2.norm_fro() / out.norm_fro()).sqrt(),
+            SignScaling::Determinantal => (-log_abs_det / m as f64).exp(),
+            SignScaling::None => 1.0,
+        };
+        let c = if c.is_finite() && c > 0.0 { c } else { 1.0 };
+        // next = S·(c/2) + J S⁻¹ J·(1/(2c)), elementwise on exactly symmetric
+        // operands, so the next iterate is exactly symmetric too.
+        ws.w1.resize_uninit(m, m);
+        let cs = c * 0.5;
+        let ci = 0.5 / c;
+        let mut diff_sq = 0.0;
+        let mut norm_sq = 0.0;
+        for ((nx, &s), &si) in ws
+            .w1
+            .as_mut_slice()
+            .iter_mut()
+            .zip(out.as_slice())
+            .zip(ws.w2.as_slice())
+        {
+            let value = s * cs + si * ci;
+            let delta = value - s;
+            diff_sq += delta * delta;
+            norm_sq += value * value;
+            *nx = value;
+        }
+        let diff = diff_sq.sqrt();
+        let scale = norm_sq.sqrt().max(f64::MIN_POSITIVE);
+        std::mem::swap(out, &mut ws.w1);
+        if diff <= stop_tol * scale {
+            jt_mul_in_place(out, n);
+            return Ok(iteration);
+        }
+    }
+    Err(LinalgError::ConvergenceFailure {
+        operation: "sign::hamiltonian_sign",
+        iterations: options.max_iterations,
+    })
+}
+
+/// [`hamiltonian_sign_into`] on this thread's workspace pool.
+///
+/// # Errors
+///
+/// Same as [`hamiltonian_sign_into`].
+pub fn hamiltonian_sign(h: &Matrix, options: &SignOptions) -> Result<Matrix, LinalgError> {
+    let mut out = Matrix::zeros(0, 0);
+    workspace::with_thread_pool(|pool| {
+        hamiltonian_sign_into(h, options, pool.get(h.rows()), &mut out).map(|_| ())
+    })?;
+    Ok(out)
+}
+
+/// `x ← Jᵀ·x` for `2n` rows: the halves trade places and the new top half
+/// changes sign.
+fn jt_mul_in_place(x: &mut Matrix, n: usize) {
+    let cols = x.cols();
+    let (top, bottom) = x.as_mut_slice().split_at_mut(n * cols);
+    top.swap_with_slice(bottom);
+    for v in top.iter_mut() {
+        *v = -*v;
+    }
+}
+
+/// `dst ← J·X·J` for a symmetric `2n × 2n` matrix `X`:
+/// `J X J = [[−X₂₂, X₂₁], [X₁₂, −X₁₁]]`, exactly symmetric when `X` is.
+fn conjugate_by_j(x: &Matrix, dst: &mut Matrix, n: usize) {
+    let m = 2 * n;
+    dst.resize_uninit(m, m);
+    let xd = x.as_slice();
+    for (i, row) in dst.as_mut_slice().chunks_exact_mut(m).enumerate() {
+        let top = i < n;
+        let src = if top { i + n } else { i - n };
+        let (s_lo, s_hi) = xd[src * m..(src + 1) * m].split_at(n);
+        let (d_lo, d_hi) = row.split_at_mut(n);
+        for (d, &s) in d_lo.iter_mut().zip(s_hi) {
+            *d = if top { -s } else { s };
+        }
+        for (d, &s) in d_hi.iter_mut().zip(s_lo) {
+            *d = if top { s } else { -s };
+        }
+    }
+}
+
+/// `dst ← sym(J·Y)` for a `2n × 2n` matrix `Y` whose `J·Y` is symmetric up
+/// to roundoff (a Hamiltonian matrix or its inverse); `(J·Y)[i]` is
+/// `Y[i + n]` on the top half and `−Y[i − n]` on the bottom half.
+fn j_mul_symmetrized(y: &Matrix, dst: &mut Matrix, n: usize) {
+    let m = 2 * n;
+    dst.resize_uninit(m, m);
+    let yd = y.as_slice();
+    let jy = |i: usize, j: usize| {
+        if i < n {
+            yd[(i + n) * m + j]
+        } else {
+            -yd[(i - n) * m + j]
+        }
+    };
+    let dd = dst.as_mut_slice();
+    for i in 0..m {
+        for j in 0..=i {
+            let v = 0.5 * (jy(i, j) + jy(j, i));
+            dd[i * m + j] = v;
+            dd[j * m + i] = v;
+        }
+    }
+}
+
 /// Result of a spectral split along the imaginary axis.
 #[derive(Debug, Clone)]
 pub struct SpectralSplit {
@@ -222,68 +409,6 @@ pub fn spectral_split(a: &Matrix, options: &SignOptions) -> Result<SpectralSplit
     Ok(SpectralSplit {
         stable_basis,
         unstable_basis,
-    })
-}
-
-/// Stable half of a spectral split, with the antistable dimension inferred
-/// from `trace(sign(A))` instead of a second projector factorization.
-#[derive(Debug, Clone)]
-pub struct StableSplit {
-    /// Orthonormal basis of the stable invariant subspace (`n x n_stable`).
-    pub stable_basis: Matrix,
-    /// Dimension of the antistable invariant subspace (`n − n_stable`).
-    pub unstable_dim: usize,
-    /// The converged matrix sign `S = sign(A)` itself. Callers can reuse it:
-    /// e.g. for block-triangular `Vᵀ A V = [[Ã, Γ], [0, −Ãᵀ]]` the congruent
-    /// sign `Vᵀ S V = [[−I, 2Y], [0, I]]` hands over the solution of the
-    /// decoupling Lyapunov equation `Ã Y + Y Ãᵀ + Γ = 0` for free.
-    pub sign: Matrix,
-}
-
-/// Computes only the stable invariant subspace of `a` via the sign function.
-///
-/// `trace(sign(A)) = n₊ − n₋` counts the eigenvalues on each side of the
-/// imaginary axis, so the dimension consistency check that
-/// [`spectral_split`] performs with a second projector SVD reduces to a
-/// trace evaluation — callers that only consume the stable basis (e.g. the
-/// Hamiltonian split in the passivity test) skip an entire `n × n` range
-/// factorization.
-///
-/// # Errors
-///
-/// Propagates the errors of [`matrix_sign`]; additionally rejects the split
-/// (as [`LinalgError::InvalidInput`]) when the trace is far from an integer
-/// or disagrees with the numerical rank of the stable projector — both
-/// symptoms of eigenvalues too close to the imaginary axis.
-pub fn stable_split(a: &Matrix, options: &SignOptions) -> Result<StableSplit, LinalgError> {
-    let n = a.rows();
-    let s = matrix_sign(a, options)?;
-    let tr = s.trace();
-    let stable_dim_f = (n as f64 - tr) * 0.5;
-    let stable_dim = stable_dim_f.round();
-    // NaN traces fail the range check below, so a plain `>` is safe here.
-    if (stable_dim_f - stable_dim).abs() > 0.1 || !(0.0..=n as f64).contains(&stable_dim) {
-        return Err(LinalgError::invalid_input(format!(
-            "trace of the matrix sign ({tr:.6}) is not consistent with an {n}-dimensional \
-             spectral split (eigenvalues too close to the imaginary axis)"
-        )));
-    }
-    let stable_dim = stable_dim as usize;
-    let identity = Matrix::identity(n);
-    let p_stable = (&identity - &s).scale(0.5);
-    let stable_basis = subspace::range_basis(&p_stable, 1e-6)?;
-    if stable_basis.cols() != stable_dim {
-        return Err(LinalgError::invalid_input(format!(
-            "stable projector rank {} disagrees with trace-derived dimension {} \
-             (eigenvalues too close to the imaginary axis)",
-            stable_basis.cols(),
-            stable_dim
-        )));
-    }
-    Ok(StableSplit {
-        stable_basis,
-        unstable_dim: n - stable_dim,
-        sign: s,
     })
 }
 
@@ -363,20 +488,6 @@ mod tests {
         // Restriction of A to the subspace is Hurwitz.
         let restricted = basis.transpose_matmul(&(&a * &basis)).unwrap();
         assert!(eigen::is_hurwitz(&restricted, 1e-9).unwrap());
-    }
-
-    #[test]
-    fn stable_split_matches_spectral_split() {
-        let a = Matrix::block_diag(&[
-            &Matrix::from_rows(&[&[-1.0, 1.0], &[0.0, -2.0]]),
-            &Matrix::from_rows(&[&[3.0, 0.5], &[0.0, 0.7]]),
-        ]);
-        let full = spectral_split(&a, &SignOptions::default()).unwrap();
-        let stable = stable_split(&a, &SignOptions::default()).unwrap();
-        assert_eq!(stable.stable_basis.cols(), full.stable_basis.cols());
-        assert_eq!(stable.unstable_dim, full.unstable_basis.cols());
-        let av = &a * &stable.stable_basis;
-        assert!(subspace::is_contained(&av, &stable.stable_basis, 1e-8).unwrap());
     }
 
     #[test]

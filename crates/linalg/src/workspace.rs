@@ -19,6 +19,7 @@
 //!   worker thread owns one pool and reuses it across tasks without any caller
 //!   changes.
 
+use crate::decomp::ldlt::Ldlt;
 use crate::decomp::lu::Lu;
 use crate::matrix::Matrix;
 use std::cell::RefCell;
@@ -83,6 +84,8 @@ pub struct EigenWorkspace {
     pub(crate) w2: Matrix,
     /// Reusable LU factorization storage (matrix + pivot vector).
     pub(crate) lu: Lu,
+    /// Reusable `LDLᵀ` factorization storage (the structured sign iteration).
+    pub(crate) ldlt: Ldlt,
     /// Householder reflector scratch (unblocked vectors + compact-WY panels).
     pub(crate) refl: ReflectorScratch,
 }
@@ -95,6 +98,7 @@ impl EigenWorkspace {
             w1: Matrix::zeros(0, 0),
             w2: Matrix::zeros(0, 0),
             lu: Lu::empty(),
+            ldlt: Ldlt::empty(),
             refl: ReflectorScratch::new(),
         }
     }
@@ -107,6 +111,9 @@ impl EigenWorkspace {
             + mat(&self.w2)
             + mat(&self.lu.lu)
             + self.lu.perm.len() * std::mem::size_of::<usize>()
+            + mat(&self.ldlt.l)
+            + (self.ldlt.d.len() + self.ldlt.e.len()) * std::mem::size_of::<f64>()
+            + self.ldlt.perm.len() * std::mem::size_of::<usize>()
             + self.refl.resident_bytes()
     }
 }

@@ -362,7 +362,7 @@ fn check(request: &Request, ctx: &Ctx) -> Response {
         reduce,
     };
     let trace_id = ds_obs::trace::next_trace_id();
-    let receiver = match ctx.service.submit_traced(job, trace_id.clone()) {
+    let receiver = match ctx.service.submit_traced(job, hash, trace_id.clone()) {
         Ok(receiver) => receiver,
         Err(SubmitError::QueueFull) => {
             return Response::json(429, error_body("overloaded", "request queue is full"))

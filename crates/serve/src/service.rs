@@ -63,19 +63,20 @@ pub struct CheckJob {
 }
 
 impl CheckJob {
-    /// The store fingerprint of this job — identical to the fingerprint
+    /// The store fingerprint of this job, given its deck's canonical hash
+    /// `hash` ([`Deck::content_hash`]) — identical to the fingerprint
     /// `ds-sweep --decks` records the same canonical deck under; a reduce
     /// job's ends in `|reduce`, so its record never answers a dense request.
-    pub fn fingerprint(&self) -> String {
+    pub fn fingerprint(&self, hash: u64) -> String {
         let spec = ReduceSpec::default();
         let reduce = self.reduce.then_some(&spec);
-        Subject::Deck(&self.name, &self.deck, reduce).fingerprint(self.method)
+        Subject::Deck(&self.name, &self.deck, hash, reduce).fingerprint(self.method)
     }
 
     /// The cache key: the store fingerprint plus the repair flag (repair
     /// changes the response body, so it caches separately).
-    pub fn cache_key(&self) -> String {
-        let mut key = self.fingerprint();
+    pub fn cache_key(&self, hash: u64) -> String {
+        let mut key = self.fingerprint(hash);
         if self.repair {
             key.push_str("|repair");
         }
@@ -114,6 +115,7 @@ pub enum SubmitError {
 
 struct QueuedJob {
     job: CheckJob,
+    hash: u64,
     fingerprint: String,
     cache_key: String,
     trace_id: String,
@@ -347,13 +349,16 @@ impl CheckService {
     /// [`SubmitError::QueueFull`] (429) when the bounded queue is at
     /// capacity, [`SubmitError::ShuttingDown`] (503) after shutdown began.
     pub fn submit(&self, job: CheckJob) -> Result<Receiver<CheckReply>, SubmitError> {
-        self.submit_traced(job, ds_obs::trace::next_trace_id())
+        let hash = job.deck.content_hash();
+        self.submit_traced(job, hash, ds_obs::trace::next_trace_id())
     }
 
-    /// [`CheckService::submit`] with a caller-chosen trace id (the daemon
-    /// generates one per request and echoes it as `X-Trace-Id`); the
-    /// completed check's trace is retrievable from [`CheckService::trace_body`]
-    /// while it stays in the bounded ring.
+    /// [`CheckService::submit`] for a deck whose canonical hash `hash`
+    /// ([`Deck::content_hash`]) the caller already computed, with a
+    /// caller-chosen trace id (the daemon generates one per request and
+    /// echoes it as `X-Trace-Id`); the completed check's trace is
+    /// retrievable from [`CheckService::trace_body`] while it stays in the
+    /// bounded ring.
     ///
     /// # Errors
     ///
@@ -361,6 +366,7 @@ impl CheckService {
     pub fn submit_traced(
         &self,
         job: CheckJob,
+        hash: u64,
         trace_id: String,
     ) -> Result<Receiver<CheckReply>, SubmitError> {
         let inner = &self.inner;
@@ -369,8 +375,8 @@ impl CheckService {
         if inner.shutdown.load(Ordering::SeqCst) {
             return Err(SubmitError::ShuttingDown);
         }
-        let fingerprint = job.fingerprint();
-        let cache_key = job.cache_key();
+        let fingerprint = job.fingerprint(hash);
+        let cache_key = job.cache_key(hash);
 
         // Tier 1: memory.
         if let Some(body) = lock_infallible(&inner.cache).get(&cache_key) {
@@ -430,6 +436,7 @@ impl CheckService {
             inflight.insert(cache_key.clone(), Vec::new());
             queue.push_back(QueuedJob {
                 job,
+                hash,
                 fingerprint,
                 cache_key,
                 trace_id,
@@ -619,7 +626,7 @@ fn run_job(inner: &Inner, queued: &QueuedJob) -> CheckReply {
     ds_obs::trace::begin(&queued.trace_id);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         panic_hook(&job.name);
-        let mut check = PassivityCheck::deck(&job.name, job.deck.clone())
+        let mut check = PassivityCheck::hashed_deck(&job.name, job.deck.clone(), queued.hash)
             .method(job.method)
             .repair(job.repair);
         if job.reduce {
@@ -716,15 +723,16 @@ mod tests {
             scenario: Scenario::from_deck(&job.name, &job.deck),
             method: job.method,
         };
-        assert_eq!(job.fingerprint(), task_fingerprint(&task));
-        assert!(job.fingerprint().starts_with("deck|"));
-        assert!(job.fingerprint().ends_with("|proposed"));
-        assert_eq!(job.cache_key(), job.fingerprint());
+        let hash = job.deck.content_hash();
+        assert_eq!(job.fingerprint(hash), task_fingerprint(&task));
+        assert!(job.fingerprint(hash).starts_with("deck|"));
+        assert!(job.fingerprint(hash).ends_with("|proposed"));
+        assert_eq!(job.cache_key(hash), job.fingerprint(hash));
         let repair = CheckJob {
             repair: true,
             ..job
         };
-        assert!(repair.cache_key().ends_with("|repair"));
+        assert!(repair.cache_key(hash).ends_with("|repair"));
     }
 
     #[test]
@@ -800,8 +808,13 @@ mod tests {
     #[test]
     fn computed_checks_leave_a_stage_trace_in_the_ring() {
         let service = CheckService::start(1, 8, 16, None).unwrap();
+        let hash = job(Method::Proposed, false).deck.content_hash();
         let rx = service
-            .submit_traced(job(Method::Proposed, false), "trace-ring-miss".to_string())
+            .submit_traced(
+                job(Method::Proposed, false),
+                hash,
+                "trace-ring-miss".to_string(),
+            )
             .unwrap();
         let CheckReply::Done { cache, .. } = rx.recv().unwrap() else {
             panic!("computed check failed");
@@ -818,7 +831,11 @@ mod tests {
 
         // A memory hit records a minimal single-span trace under its own id.
         let rx = service
-            .submit_traced(job(Method::Proposed, false), "trace-ring-hit".to_string())
+            .submit_traced(
+                job(Method::Proposed, false),
+                hash,
+                "trace-ring-hit".to_string(),
+            )
             .unwrap();
         let CheckReply::Done { cache, .. } = rx.recv().unwrap() else {
             panic!("cached check failed");
@@ -839,7 +856,9 @@ mod tests {
         let dense_job = job(Method::Proposed, false);
         let mut reduce = dense_job.clone();
         reduce.reduce = true;
-        assert!(reduce.cache_key().ends_with("|reduce"));
+        assert!(reduce
+            .cache_key(reduce.deck.content_hash())
+            .ends_with("|reduce"));
         let check = |service: &CheckService, job: &CheckJob| {
             let reply = service.submit(job.clone()).unwrap().recv().unwrap();
             let CheckReply::Done { body, cache } = reply else {

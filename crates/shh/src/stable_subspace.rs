@@ -52,21 +52,49 @@ pub fn hamiltonian_split(a: &Matrix, tol: f64) -> Result<HamiltonianSplit, ShhEr
             "hamiltonian_split requires a Hamiltonian matrix",
         ));
     }
-    // Only the stable basis is consumed here; `stable_split` verifies the
-    // dimension count through trace(sign(A)) instead of factoring the
-    // antistable projector as well.
-    let split = sign::stable_split(a, &SignOptions::default()).map_err(|err| match err {
+    // Byers' structure-preserving Newton iteration: the iterate lives as the
+    // symmetric J·Z, so each step inverts through a Bunch–Kaufman LDLᵀ.
+    let sign = sign::hamiltonian_sign(a, &SignOptions::default()).map_err(|err| match err {
         ds_linalg::LinalgError::Singular { .. } => ShhError::ImaginaryAxisEigenvalues,
         other => ShhError::Numerical(other),
     })?;
-    if split.stable_basis.cols() != n || split.unstable_dim != n {
+    // trace(sign(A)) = n₊ − n₋ counts the eigenvalues on each side of the
+    // imaginary axis, so the dimension check needs no second (antistable)
+    // projector factorization.
+    let dim = 2 * n;
+    let tr = sign.trace();
+    let stable_dim_f = (dim as f64 - tr) * 0.5;
+    let stable_dim = stable_dim_f.round();
+    // NaN traces fail the range check, so a plain `>` is safe here.
+    if (stable_dim_f - stable_dim).abs() > 0.1 || !(0.0..=dim as f64).contains(&stable_dim) {
+        return Err(ShhError::Numerical(ds_linalg::LinalgError::invalid_input(
+            format!(
+                "trace of the matrix sign ({tr:.6}) is not consistent with an {dim}-dimensional \
+                 spectral split (eigenvalues too close to the imaginary axis)"
+            ),
+        )));
+    }
+    let stable_dim = stable_dim as usize;
+    let p_stable = (&Matrix::identity(dim) - &sign).scale(0.5);
+    // The projector has eigenvalues ≈ 0/1, so a generous relative tolerance
+    // cleanly separates its range.
+    let u = subspace::range_basis(&p_stable, 1e-6).map_err(ShhError::Numerical)?;
+    if u.cols() != stable_dim {
+        return Err(ShhError::Numerical(ds_linalg::LinalgError::invalid_input(
+            format!(
+                "stable projector rank {} disagrees with trace-derived dimension {stable_dim} \
+                 (eigenvalues too close to the imaginary axis)",
+                u.cols()
+            ),
+        )));
+    }
+    if stable_dim != n {
         return Err(ShhError::ImaginaryAxisEigenvalues);
     }
-    // `stable_split` hands back SVD-U columns, which are orthonormal by
-    // construction — no re-orthonormalization pass is needed before the
-    // isotropy check (UᵀJU = 0), which holds exactly in theory for the stable
-    // Lagrangian subspace of a Hamiltonian matrix.
-    let u = split.stable_basis;
+    // The range basis is SVD-U columns, orthonormal by construction — no
+    // re-orthonormalization pass is needed before the isotropy check
+    // (UᵀJU = 0), which holds exactly in theory for the stable Lagrangian
+    // subspace of a Hamiltonian matrix.
     let ju = structure::j_mul(&u)?;
     let isotropy = u.transpose_matmul(&ju)?.norm_max();
     if isotropy > 1e-6 * scale.max(1.0) {
@@ -95,7 +123,7 @@ pub fn hamiltonian_split(a: &Matrix, tol: f64) -> Result<HamiltonianSplit, ShhEr
     // the decoupling Lyapunov solution Ã Y + Y Ãᵀ + Γ = 0. With Z₁ = [U, −JU]
     // that block is −Uᵀ·sign(A₄₄)·JU, so Y falls out of two thin products
     // against the already-converged sign iterate.
-    let sign_ju = split.sign.matmul(&ju)?;
+    let sign_ju = sign.matmul(&ju)?;
     let decoupling = u.transpose_matmul(&sign_ju)?.scale(-0.5);
     Ok(HamiltonianSplit {
         stable_basis: u,

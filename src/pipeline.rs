@@ -59,6 +59,8 @@ pub enum CheckSource {
         name: String,
         /// The parsed deck.
         deck: Deck,
+        /// Its canonical content hash ([`Deck::content_hash`]).
+        hash: u64,
     },
     /// An in-memory netlist (ground truth taken as passivity-by-construction).
     Netlist {
@@ -247,9 +249,18 @@ impl PassivityCheck {
 
     /// Checks an already-parsed deck.
     pub fn deck(name: impl Into<String>, deck: Deck) -> Self {
+        let hash = deck.content_hash();
+        Self::hashed_deck(name, deck, hash)
+    }
+
+    /// Checks an already-parsed deck whose canonical content hash
+    /// ([`Deck::content_hash`]) the caller has already computed, so the
+    /// canonical deck is rendered once per check.
+    pub fn hashed_deck(name: impl Into<String>, deck: Deck, hash: u64) -> Self {
         Self::from_source(CheckSource::Deck {
             name: name.into(),
             deck,
+            hash,
         })
     }
 
@@ -376,7 +387,7 @@ impl CheckRequest {
                 let name = name.clone().unwrap_or_else(|| format!("{hash:016x}"));
                 self.execute_deck(&name, &deck, hash)
             }
-            CheckSource::Deck { name, deck } => self.execute_deck(name, deck, deck.content_hash()),
+            CheckSource::Deck { name, deck, hash } => self.execute_deck(name, deck, *hash),
             CheckSource::Netlist { name, netlist } => {
                 self.execute(Subject::Netlist(name, netlist, reduce))
             }
@@ -407,7 +418,7 @@ impl CheckRequest {
     }
 
     fn execute_deck(&self, name: &str, deck: &Deck, hash: u64) -> Result<CheckOutcome, SuiteError> {
-        let mut outcome = self.execute(Subject::Deck(name, deck, self.reduce.as_ref()))?;
+        let mut outcome = self.execute(Subject::Deck(name, deck, hash, self.reduce.as_ref()))?;
         outcome.name = name.to_string();
         outcome.canonical_hash = Some(hash);
         Ok(outcome)

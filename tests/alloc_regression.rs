@@ -1,36 +1,47 @@
 //! Allocation-count regression tests for the workspace-reuse kernel layer.
 //!
 //! A counting global allocator wraps the system allocator; the `_in` eigen
-//! kernels (Hessenberg / Francis QR, LU, sign iteration, matmul-into) are run
+//! kernels (Hessenberg / Francis QR, LU, Bunch–Kaufman `LDLᵀ`, the general and
+//! the structured sign iteration, matmul-into) are run
 //! once to warm a [`WorkspacePool`] and then again in steady state, where the
 //! second pass must perform **zero** heap allocations.  A second test pins the
 //! harness-level effect: the second identical passivity task on a thread must
 //! allocate strictly less than the first (the per-thread pools are warm).
 
 use ds_circuits::generators;
-use ds_linalg::decomp::{hessenberg, lu, schur};
+use ds_linalg::decomp::{hessenberg, ldlt, lu, schur};
 use ds_linalg::sign::{self, SignOptions};
 use ds_linalg::workspace::{ReflectorScratch, WorkspacePool};
 use ds_linalg::{eigen, Complex, Matrix};
 use ds_passivity::fast::{check_passivity, FastTestOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Mutex;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread.  The kernels under test run on the
+    /// test's own thread, while libtest's threads allocate whenever another
+    /// test reports, so a process-wide count saw stray allocations.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// The counter is process-global, so the two tests must not overlap: libtest
-/// runs them on separate threads by default, and a concurrent test's
-/// allocations would land inside the other's measured window.
+/// The tests still take turns, so timing-sensitive pool state is not shared
+/// between two measured windows.
 static SERIALIZE: Mutex<()> = Mutex::new(());
 
 struct CountingAllocator;
 
-// SAFETY: delegates directly to the system allocator; the counter is a relaxed
-// atomic with no other side effects.
+fn count() {
+    // A const-initialized `Cell` has no destructor, so the access neither
+    // allocates nor fails during thread teardown.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: delegates directly to the system allocator; the counter is a
+// thread-local cell with no other side effects.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -39,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -48,7 +59,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOC: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A stable, well-conditioned test matrix (sign iteration converges, Schur
@@ -77,6 +88,26 @@ fn eigen_kernels_are_allocation_free_in_steady_state() {
     let mut solution = Matrix::zeros(n, n);
     let mut sign_out = Matrix::zeros(n, n);
     let mut product = Matrix::zeros(n, n);
+    // A Hamiltonian [[A, −I], [−I, −Aᵀ]] for the structured kernels, and its
+    // symmetric J·H for the LDLᵀ.
+    let half = n / 2;
+    let a_half = stable_matrix(half);
+    let identity = Matrix::identity(half).scale(-1.0);
+    let hamiltonian = Matrix::from_blocks_2x2(
+        &a_half,
+        &identity,
+        &identity,
+        &a_half.transpose().scale(-1.0),
+    );
+    let symmetric = Matrix::from_blocks_2x2(
+        &identity,
+        &a_half.transpose().scale(-1.0),
+        &a_half.scale(-1.0),
+        &identity,
+    );
+    let mut factor_ldlt = ldlt::Ldlt::empty();
+    let mut ldlt_scratch = Matrix::zeros(n, n);
+    let mut hamiltonian_sign_out = Matrix::zeros(n, n);
 
     let mut run_all = |pool: &mut WorkspacePool| {
         eigen::eigenvalues_into(&a, pool.get(n), &mut evals).unwrap();
@@ -92,6 +123,17 @@ fn eigen_kernels_are_allocation_free_in_steady_state() {
         factor.inverse_into(&mut inverse).unwrap();
         factor.solve_into(&inverse, &mut solution).unwrap();
         sign::matrix_sign_into(&a, &SignOptions::default(), pool.get(n), &mut sign_out).unwrap();
+        ldlt::factor_into(&symmetric, &mut factor_ldlt).unwrap();
+        factor_ldlt
+            .inverse_into(&mut inverse, &mut ldlt_scratch)
+            .unwrap();
+        sign::hamiltonian_sign_into(
+            &hamiltonian,
+            &SignOptions::default(),
+            pool.get(n),
+            &mut hamiltonian_sign_out,
+        )
+        .unwrap();
         a.matmul_into(&inverse, &mut product).unwrap();
         a.transpose_matmul_into(&inverse, &mut product).unwrap();
     };
@@ -113,6 +155,7 @@ fn eigen_kernels_are_allocation_free_in_steady_state() {
         .as_slice()
         .iter()
         .all(|&x| x.is_finite() && x < 0.5));
+    assert!((&hamiltonian_sign_out * &hamiltonian_sign_out).approx_eq(&Matrix::identity(n), 1e-8));
 }
 
 #[test]
