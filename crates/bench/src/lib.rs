@@ -3,10 +3,10 @@
 //! Binaries that regenerate the evaluation artifacts of the DAC 2006 paper
 //! on the [`ds_harness`] parallel sweep engine — `table1` (Table 1 CPU
 //! times), `fig2` (Figure 2 scaling curves) and `verdicts` (the agreement
-//! matrix of the three tests) — plus the `serve_load` daemon load
-//! generator.  Per-stage and per-layer timings come from the repository
-//! benchmark (`perfbench/`), which times the proposed test's stages
-//! through their public entry points.
+//! matrix of the three tests).  Per-stage, per-layer and serving timings
+//! come from the repository benchmark (`perfbench/`), which times the
+//! proposed test's stages through their public entry points and drives an
+//! in-process daemon in its `serve-ci` workload.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -372,14 +372,24 @@ mod tests {
 
     #[test]
     fn u_only_path_is_bitwise_identical() {
-        for &(m, n) in &[(6usize, 4usize), (12, 12), (3, 7), (9, 1)] {
-            let a = Matrix::from_fn(m, n, |i, j| {
-                ((i * 11 + j * 5 + m + n) % 17) as f64 * 0.4 - 3.0
-            });
-            let full = svd(&a).unwrap();
-            let (u, s) = svd_u_s(&a).unwrap();
+        let assert_paths_agree = |a: &Matrix| {
+            let (m, n) = a.shape();
+            let full = svd(a).unwrap();
+            let (u, s) = svd_u_s(a).unwrap();
             assert_eq!(u.as_slice(), full.u.as_slice(), "U differs at {m}x{n}");
             assert_eq!(s, full.s, "singular values differ at {m}x{n}");
+        };
+        for &(m, n) in &[(6usize, 4usize), (12, 12), (3, 7), (9, 1)] {
+            assert_paths_agree(&Matrix::from_fn(m, n, |i, j| {
+                ((i * 11 + j * 5 + m + n) % 17) as f64 * 0.4 - 3.0
+            }));
         }
+        // Full rank at an order the checks reach: every column pair
+        // rotates, over long sweeps.
+        let n = crate::decomp::hessenberg::BLOCKED_MIN_DIM;
+        assert_paths_agree(&Matrix::from_fn(n + 8, n, |i, j| {
+            let v = ((i * 31 + j * 17 + 3) % 23) as f64 / 23.0 - 0.5;
+            0.1 * v + if i == j { 2.0 + 0.01 * i as f64 } else { 0.0 }
+        }));
     }
 }

@@ -88,7 +88,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(error) => {
-            eprintln!("ds-serve: shutdown flush failed: {error}");
+            eprintln!("ds-serve: shutdown failed: {error}");
             ExitCode::FAILURE
         }
     }

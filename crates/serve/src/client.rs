@@ -1,7 +1,7 @@
 //! A minimal blocking HTTP/1.1 client for one-shot requests against the
-//! daemon — used by the integration tests, the CI smoke job, and the
-//! `serve-load` generator.  `Connection: close` semantics only: one request
-//! per connection, body read to EOF or `Content-Length`.
+//! daemon — used by the integration tests and the benchmark's `serve-ci`
+//! workload.  `Connection: close` semantics only: one request per
+//! connection, body read to EOF or `Content-Length`.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -6,13 +6,15 @@
 //!
 //! The stack is deliberately dependency-free (the build environment has no
 //! registry access): a hand-rolled, hard-limited HTTP/1.1 layer over
-//! `std::net::TcpListener` with a blocking accept loop and a thread per
-//! connection, handing checks to a bounded worker pool.  Verdicts are served
-//! from a two-tier cache — an in-memory LRU in front of the persistent
-//! result store shared with `ds-sweep` — so a re-POSTed deck (even
-//! reformatted: keys are *canonical* hashes) never recomputes, and a
-//! restarted server still remembers every verdict it ever produced.
-//! Overload answers 429 with `Retry-After`; SIGTERM/SIGINT (or
+//! `std::net::TcpListener` whose accept loop blocks in `accept` (it never
+//! polls; `Server::stop` wakes it with one connection to its own address),
+//! a thread per connection, and a bounded worker pool behind them.  Verdicts
+//! are served from a two-tier cache — an in-memory LRU in front of the
+//! persistent result store shared with `ds-sweep` — so a re-POSTed deck
+//! (even reformatted: keys are *canonical* hashes) never recomputes, and a
+//! restarted server still remembers every verdict it ever produced.  A deck
+//! that does not parse answers 400, one that parses but is not a valid
+//! circuit 422, and overload 429 with `Retry-After`; SIGTERM/SIGINT (or
 //! `POST /shutdown`) drain the queue, flush the store segment, and exit 0.
 //!
 //! ```no_run

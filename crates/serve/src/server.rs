@@ -16,17 +16,20 @@
 //!   body is a SPICE deck; answers the `ds-check-report/v2` verdict with
 //!   `X-Cache` (tier that answered), `X-Deck-Hash` (full canonical content
 //!   hash), and `X-Trace-Id` headers.  `reduce=auto` routes the check through
-//!   the sparse-stamp + Krylov reduction (the order-10⁴ path; reduced reports
-//!   bypass the store tier).  Malformed decks get a 400 whose body carries
-//!   the parser's exact `line`/`column`; a full queue gets 429 +
-//!   `Retry-After`.
+//!   the sparse-stamp + Krylov reduction (the order-10⁴ path; a reduced
+//!   report is stored under its own fingerprint).  Malformed decks get a 400
+//!   whose body carries the parser's exact `line`/`column`; a full queue gets
+//!   429 + `Retry-After`.
 //! * `POST /shutdown` — request graceful shutdown (same path as SIGTERM).
 //!
-//! The accept loop polls a shutdown flag (set by `Server::stop`, by
-//! `POST /shutdown`, or — in the binary — by SIGINT/SIGTERM), then drains:
-//! queued checks finish, pending store records flush as a segment, and the
-//! merged artifacts are rewritten, so a restarted server answers every
-//! verdict it ever computed from its store tier.
+//! The accept loop blocks in `accept` and never polls.  Shutdown (requested
+//! by `Server::stop`, by `POST /shutdown`, or — in the binary — by
+//! SIGINT/SIGTERM) sets a flag; `Server::stop` then wakes the loop with one
+//! connection to the server's own address, and the first accept that sees
+//! the flag ends it.  Then the server drains: queued checks finish, pending
+//! store records flush as a segment, and the merged artifacts are rewritten,
+//! so a restarted server answers every verdict it ever computed from its
+//! store tier.
 
 use crate::http::{read_request, Request, RequestError, Response};
 use crate::service::{error_response, CheckJob, CheckReply, CheckService, SubmitError};
@@ -37,7 +40,7 @@ use ds_passivity_suite::harness::Method;
 use ds_passivity_suite::netlist::parse_deck;
 use ds_passivity_suite::{SuiteError, REPORT_SCHEMA};
 use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -86,7 +89,7 @@ pub struct Server {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     ctx: Arc<Ctx>,
-    accept_handle: Option<JoinHandle<()>>,
+    accept_handle: Option<JoinHandle<TcpListener>>,
     connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
@@ -102,9 +105,6 @@ impl Server {
         let local_addr = listener
             .local_addr()
             .map_err(|e| SuiteError::Io(format!("local addr: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| SuiteError::Io(format!("nonblocking listener: {e}")))?;
         let service = CheckService::start(
             config.workers,
             config.queue_capacity,
@@ -124,7 +124,14 @@ impl Server {
             let connections = Arc::clone(&connections);
             std::thread::Builder::new()
                 .name("ds-serve-accept".to_string())
-                .spawn(move || accept_loop(&listener, &shutdown, &ctx, &connections))
+                .spawn(move || {
+                    accept_loop(&listener, &shutdown, &ctx, &connections);
+                    // Handed back rather than closed: the listener stays
+                    // bound until `stop` joins this thread, so the wake-up
+                    // connection finds it even when a `POST /shutdown`
+                    // already ended the loop.
+                    listener
+                })
                 .map_err(|e| SuiteError::Io(format!("spawning accept thread: {e}")))?
         };
         Ok(Server {
@@ -157,11 +164,16 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Reports store-flush failures; the listener and workers are always
-    /// torn down.
+    /// Reports store-flush failures, and a failed connection to wake the
+    /// blocked accept loop (whose thread is then left behind, not joined);
+    /// the workers are always torn down.
     pub fn stop(mut self) -> Result<(), SuiteError> {
         self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_handle.take() {
+        let wake = wake_addr(self.local_addr);
+        let woken = TcpStream::connect_timeout(&wake, Duration::from_secs(5))
+            .map(drop)
+            .map_err(|e| SuiteError::Io(format!("waking the accept loop at {wake}: {e}")));
+        if let Some(handle) = self.accept_handle.take().filter(|_| woken.is_ok()) {
             let _ = handle.join();
         }
         // Unblock queued connections before joining them: draining the
@@ -171,8 +183,19 @@ impl Server {
         for handle in handles {
             let _ = handle.join();
         }
-        result
+        result.and(woken)
     }
+}
+
+/// Where [`Server::stop`] connects to wake `accept`: the bound address, with
+/// an unspecified IP (`0.0.0.0`, `::`) replaced by the loopback of its family.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    let ip = match local.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, local.port())
 }
 
 fn accept_loop(
@@ -181,10 +204,15 @@ fn accept_loop(
     ctx: &Arc<Ctx>,
     connections: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // The wake-up connection from `Server::stop` (or any client that
+        // races it) is dropped unanswered.
+        if shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
-                let _ = stream.set_nonblocking(false);
                 let ctx = Arc::clone(ctx);
                 if let Ok(handle) = std::thread::Builder::new()
                     .name("ds-serve-conn".to_string())
@@ -195,9 +223,7 @@ fn accept_loop(
                     held.push(handle);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // Back off on a real accept error (e.g. out of file descriptors).
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }

@@ -28,7 +28,6 @@ use ds_passivity_suite::netlist::Deck;
 use ds_passivity_suite::shh::krylov::ReduceSpec;
 use ds_passivity_suite::{CheckOutcome, PassivityCheck, RepairOutcome, SuiteError};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -269,7 +268,7 @@ pub struct CheckService {
 pub fn error_response(error: &SuiteError) -> (u16, String) {
     let status = match error {
         SuiteError::Parse(_) | SuiteError::InvalidRequest(_) => 400,
-        SuiteError::Unsupported(_) => 422,
+        SuiteError::Unsupported(_) | SuiteError::Circuit(_) => 422,
         _ => 500,
     };
     let mut body = format!(
@@ -455,11 +454,6 @@ impl CheckService {
         self.inner.traces.get(id)
     }
 
-    /// Whether shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.inner.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Graceful shutdown: workers finish every queued job, leftovers (when
     /// running with zero workers) are answered 503, and all pending store
     /// records are flushed to a segment with the merged artifacts rewritten.
@@ -492,14 +486,6 @@ impl CheckService {
             state.store.write_merged().map_err(SuiteError::Harness)?;
         }
         Ok(())
-    }
-
-    /// The store segments flushed so far (for observability and tests).
-    pub fn store_dir(&self) -> Option<PathBuf> {
-        self.inner
-            .store
-            .as_ref()
-            .map(|s| lock_infallible(s).store.dir().to_path_buf())
     }
 
     /// Renders the `/stats` body: the `ds-serve-stats/v1` counters, plus a

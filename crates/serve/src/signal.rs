@@ -8,17 +8,12 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Set once a shutdown signal (or `POST /shutdown`) has been received.
+/// Set once SIGINT or SIGTERM has been received.
 pub static SHUTDOWN_REQUESTED: AtomicBool = AtomicBool::new(false);
 
 /// Whether a shutdown signal has arrived.
 pub fn shutdown_requested() -> bool {
     SHUTDOWN_REQUESTED.load(Ordering::SeqCst)
-}
-
-/// Requests shutdown programmatically (used by `POST /shutdown` and tests).
-pub fn request_shutdown() {
-    SHUTDOWN_REQUESTED.store(true, Ordering::SeqCst);
 }
 
 #[cfg(unix)]
@@ -61,17 +56,4 @@ mod imp {
 pub fn install_handlers() {
     #[cfg(unix)]
     imp::install();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn programmatic_shutdown_sets_the_flag() {
-        install_handlers();
-        assert!(!shutdown_requested() || SHUTDOWN_REQUESTED.load(Ordering::SeqCst));
-        request_shutdown();
-        assert!(shutdown_requested());
-    }
 }

@@ -327,6 +327,26 @@ fn parse_errors_return_400_with_line_and_column() {
 }
 
 #[test]
+fn unstampable_deck_answers_422_and_counts_as_an_error() {
+    // Parses, but the joint coupled-inductance matrix is indefinite: the
+    // request is well-formed and the circuit is invalid, which is the
+    // client's error, not the server's.
+    let server = Server::start(test_config()).unwrap();
+    let text =
+        "LA a 0 1\nLB b 0 1\nLC c 0 1\nK1 LA LB 0.9\nK2 LB LC 0.9\nK3 LA LC -0.9\n.port a\n.end\n";
+    let reply = client::post(server.local_addr(), "/check", text).unwrap();
+    assert_eq!(reply.status, 422, "body: {}", reply.body);
+    assert!(
+        reply.body.contains("\"kind\":\"circuit\""),
+        "body: {}",
+        reply.body
+    );
+    let stats = server.stats_json();
+    assert!(stats.contains("\"errors\":1"), "stats: {stats}");
+    server.stop().unwrap();
+}
+
+#[test]
 fn repair_flag_reports_enforcement() {
     let server = Server::start(test_config()).unwrap();
     let addr = server.local_addr();

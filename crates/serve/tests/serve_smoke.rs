@@ -3,16 +3,20 @@
 //! committed deck corpus twice (second pass must be 100% cache hits with zero
 //! new computations), terminate gracefully with SIGTERM (exit 0, segment
 //! flushed), then restart on the same store and verify every verdict replays
-//! from disk without recomputation.
+//! from disk without recomputation.  It also cross-checks the latency a
+//! client sees against the daemon's own `/stats` quantiles, and stops
+//! in-process servers: bound to loopback or to the unspecified address, and
+//! after a `POST /shutdown` already ended the accept loop.
 
 #![cfg(unix)]
 
-use ds_serve::client;
+use ds_passivity_suite::harness::json;
+use ds_serve::{client, Server, ServerConfig};
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn decks() -> Vec<(PathBuf, String)> {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/decks");
@@ -205,4 +209,110 @@ fn sigint_also_exits_cleanly() {
     let exit = child.wait().unwrap();
     assert!(exit.success(), "daemon exited with {exit:?}");
     let _ = std::fs::remove_dir_all(&store);
+}
+
+/// Sequential memory hits timed by [`client_latency_matches_the_server_quantiles`].
+const TIMED_HITS: usize = 64;
+
+/// Loopback overhead a memory hit may add on top of the daemon's own p50.
+const LOOPBACK_BUDGET_MS: f64 = 2.0;
+
+#[test]
+fn client_latency_matches_the_server_quantiles() {
+    // The metrics registry is process-wide, so the daemon runs as its own
+    // process: its `/stats` quantiles then hold only this test's requests.
+    let store = std::env::temp_dir().join(format!("ds-serve-smoke-lat-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let (path, text) = &decks()[0];
+    let (mut child, addr) = spawn_daemon(&store);
+
+    let warm = client::post(addr, "/check", text).unwrap();
+    let mut tiers = Vec::with_capacity(TIMED_HITS);
+    let mut client_ms: Vec<f64> = (0..TIMED_HITS)
+        .map(|_| {
+            let start = Instant::now();
+            let reply = client::post(addr, "/check", text).unwrap();
+            let elapsed = start.elapsed().as_secs_f64() * 1e3;
+            tiers.push(reply.header("x-cache").map(str::to_string));
+            elapsed
+        })
+        .collect();
+    let stats = client::get(addr, "/stats").unwrap().body;
+    // Stop the daemon before asserting, so a failing run leaves no process
+    // behind.
+    let pid = child.id().to_string();
+    let killed = Command::new("kill").args(["-TERM", &pid]).status();
+    let exit = child.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&store);
+
+    assert_eq!(warm.status, 200, "{}: {}", path.display(), warm.body);
+    assert!(
+        tiers.iter().all(|tier| tier.as_deref() == Some("hit")),
+        "timed requests were not all memory hits: {tiers:?}"
+    );
+    client_ms.sort_by(f64::total_cmp);
+    let client_p50 = client_ms[TIMED_HITS / 2];
+    let server_p50 = json::parse(&stats)
+        .ok()
+        .and_then(|v| v.get("check_latency_ms")?.get("p50")?.as_f64())
+        .unwrap_or_else(|| panic!("no check_latency_ms.p50 in /stats: {stats}"));
+    // The server times a sub-interval of every client round trip, so its
+    // p50 can exceed the client's only by the histogram bucket's
+    // overestimate (its √2 ladder) ...
+    assert!(
+        server_p50 <= std::f64::consts::SQRT_2 * client_p50,
+        "server p50 {server_p50} ms exceeds √2 × client p50 {client_p50} ms"
+    );
+    // ... and a memory hit over loopback must not cost the client much more
+    // than the server spent answering it.
+    assert!(
+        client_p50 <= server_p50 + LOOPBACK_BUDGET_MS,
+        "client p50 {client_p50} ms exceeds server p50 {server_p50} ms + {LOOPBACK_BUDGET_MS} ms"
+    );
+    assert!(
+        killed.is_ok_and(|status| status.success()),
+        "kill -TERM failed"
+    );
+    assert!(exit.success(), "daemon exited with {exit:?}");
+}
+
+#[test]
+fn servers_stop_on_loopback_and_unspecified_addresses() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = Server::start(ServerConfig {
+            addr: bind.to_string(),
+            workers: 1,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let loopback = SocketAddr::from(([127, 0, 0, 1], server.local_addr().port()));
+        assert_eq!(client::get(loopback, "/health").unwrap().status, 200);
+        // `stop` must wake the blocked accept loop; a hang fails the test
+        // instead of wedging the suite.
+        let (done, stopped) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || done.send(server.stop()));
+        let result = stopped
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("a server bound to {bind} did not stop"));
+        assert!(result.is_ok(), "{bind}: {result:?}");
+        stopper.join().unwrap().unwrap();
+    }
+}
+
+#[test]
+fn stop_succeeds_after_post_shutdown_ended_the_accept_loop() {
+    let server = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr();
+    assert_eq!(client::post(addr, "/shutdown", "").unwrap().status, 200);
+    assert!(server.shutdown_requested());
+    // The next connection ends the accept loop and is dropped unanswered ...
+    assert!(client::get(addr, "/health").is_err());
+    // ... yet the listener stays bound until `stop` joins the loop, so the
+    // wake-up connection still lands and `stop` reports no error.
+    server.stop().unwrap();
 }

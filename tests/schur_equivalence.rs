@@ -4,6 +4,7 @@
 //! the `T` iterates, so the agreement is required to be *bit-for-bit*, not
 //! merely within tolerance — any drift between the two paths is a bug.
 
+use ds_linalg::decomp::hessenberg::BLOCKED_MIN_DIM;
 use ds_linalg::decomp::schur::{real_schur, real_schur_t_only};
 use ds_linalg::eigen;
 use ds_linalg::workspace::WorkspacePool;
@@ -68,6 +69,15 @@ fn random_like_matrix() {
         });
         assert_paths_agree(&a);
     }
+    // From `BLOCKED_MIN_DIM` up the Hessenberg reduction runs compact-WY
+    // blocked.  There the same pattern repeats too often for the QR
+    // iteration to converge, so a graded diagonal separates the eigenvalues.
+    let n = BLOCKED_MIN_DIM + 32;
+    let a = Matrix::from_fn(n, n, |i, j| {
+        let v = ((i * 31 + j * 17 + 3) % 23) as f64 / 23.0 - 0.5;
+        0.1 * v + if i == j { 2.0 + 0.01 * i as f64 } else { 0.0 }
+    });
+    assert_paths_agree(&a);
 }
 
 #[test]
