@@ -112,8 +112,14 @@ pub fn check_passivity(
     let phi = in_span("build_phi", || build_phi(sys)).map_err(PassivityError::Shh)?;
     diagnostics.phi_order = phi.system.order();
 
-    // Stage 1: cancel impulse-unobservable / uncontrollable modes.
-    let cancelled = in_span("impulse", || reduction::cancel_impulsive_modes(&phi, tol))?;
+    // Stage 1: cancel impulse-unobservable / uncontrollable modes.  Each
+    // stage from here on frees the intermediate it consumes inside its own
+    // span, so the return path frees nothing the stage spans miss.
+    let cancelled = in_span("impulse", || {
+        let cancelled = reduction::cancel_impulsive_modes(&phi, tol);
+        drop(phi);
+        cancelled
+    })?;
     diagnostics.unobservable_impulsive_directions = cancelled.unobservable_directions;
     diagnostics.removed_impulse_states = cancelled.removed_states;
 
@@ -121,7 +127,9 @@ pub fn check_passivity(
     // means Φ₁ is not impulse-free: the original system retained observable and
     // controllable impulsive modes and cannot be passive.
     let nondynamic = in_span("nondynamic", || {
-        reduction::remove_nondynamic_modes(&cancelled.reduced, tol)
+        let nondynamic = reduction::remove_nondynamic_modes(&cancelled.reduced, tol);
+        drop(cancelled);
+        nondynamic
     })?;
     if !nondynamic.impulse_free {
         return rejected(
@@ -139,7 +147,7 @@ pub fn check_passivity(
         } else {
             m1.clone()
         };
-        let min_eig = if cancelled.removed_states > 0 && m1_sym.rows() > 0 {
+        let min_eig = if diagnostics.removed_impulse_states > 0 && m1_sym.rows() > 0 {
             Some(symmetric::min_eigenvalue(&m1_sym)?)
         } else {
             None
@@ -155,8 +163,13 @@ pub fn check_passivity(
     }
 
     // Stage 3: restore the SHH structure of the proper Φ-pencil.
-    let restored = in_span("restore", || reduction::restore_shh(&nondynamic.reduced))?;
-    diagnostics.removed_nondynamic_states = nondynamic.removed_states;
+    let removed_nondynamic_states = nondynamic.removed_states;
+    let restored = in_span("restore", || {
+        let restored = reduction::restore_shh(&nondynamic.reduced);
+        drop(nondynamic);
+        restored
+    })?;
+    diagnostics.removed_nondynamic_states = removed_nondynamic_states;
     diagnostics.proper_phi_order = restored.system.order();
 
     // Bookkeeping of the paper's Section 3.4: among the states removed by the
@@ -165,17 +178,25 @@ pub fn check_passivity(
     // order ≥ 2 are present.
     let rank_e = in_span("rank_e", || sys.rank_e(tol))?;
     let nondynamic_total_phi = 2 * (sys.order() - rank_e);
-    let nondynamic_with_impulsive = nondynamic_total_phi.saturating_sub(nondynamic.removed_states);
+    let nondynamic_with_impulsive = nondynamic_total_phi.saturating_sub(removed_nondynamic_states);
     diagnostics.nondynamic_removed_with_impulsive = nondynamic_with_impulsive;
-    let impulsive_removed = cancelled
-        .removed_states
+    let impulsive_removed = diagnostics
+        .removed_impulse_states
         .saturating_sub(nondynamic_with_impulsive);
     diagnostics.markov_bookkeeping_consistent = impulsive_removed == nondynamic_with_impulsive;
 
     // Stage 4: regularize (eq. (21)) and split off the stable proper part
     // (eqs. (22)–(23)).
-    let regular = in_span("regularize", || proper::regularize(&restored.system, tol))?;
-    let stable = match in_span("split", || proper::extract_stable_part(&regular, tol)) {
+    let regular = in_span("regularize", || {
+        let regular = proper::regularize(&restored.system, tol);
+        drop(restored);
+        regular
+    })?;
+    let stable = match in_span("split", || {
+        let stable = proper::extract_stable_part(&regular, tol);
+        drop(regular);
+        stable
+    }) {
         Ok(p) => p,
         Err(PassivityError::Shh(ShhError::ImaginaryAxisEigenvalues)) => {
             // Finite poles of Φ on the imaginary axis violate the paper's

@@ -47,9 +47,27 @@ impl PvlForm {
     }
 }
 
+/// Scratch for the reflector applications, hoisted so the O(n) reflectors
+/// of one reduction allocate nothing per step.
+#[derive(Default)]
+struct Scratch {
+    dots_top: Vec<f64>,
+    dots_bot: Vec<f64>,
+    /// Indices of the nonzero entries of the reflector vector.
+    nonzeros: Vec<usize>,
+}
+
+/// How [`reduce`] applies a symplectic Householder reflector.
+type ApplyReflector = fn(&mut Matrix, &mut Matrix, usize, usize, &[f64], f64, &mut Scratch);
+
 /// Applies a symplectic Householder similarity `diag(P, P)` where
 /// `P = I − β v vᵀ` acts on the index range `lo..n` of each half.
-#[allow(clippy::too_many_arguments)]
+///
+/// Only the nonzero entries of `v` are visited: on finite `W` and `Z` a zero
+/// entry adds `±0` to every dot product and subtracts `±0` from every
+/// updated entry, so skipping it leaves every result unchanged up to the
+/// sign of an exact zero.  The many reflectors with a single nonzero entry
+/// (sign flips of a column that is already collapsed) cost O(n), not O(n²).
 fn apply_symplectic_householder(
     w: &mut Matrix,
     z: &mut Matrix,
@@ -57,13 +75,19 @@ fn apply_symplectic_householder(
     lo: usize,
     v: &[f64],
     beta: f64,
-    dots_top: &mut Vec<f64>,
-    dots_bot: &mut Vec<f64>,
+    scratch: &mut Scratch,
 ) {
     if beta == 0.0 {
         return;
     }
     let dim = 2 * n;
+    let Scratch {
+        dots_top,
+        dots_bot,
+        nonzeros,
+    } = scratch;
+    nonzeros.clear();
+    nonzeros.extend((0..v.len()).filter(|&k| v[k] != 0.0));
     // Left multiplication: rows (lo..lo+len) and (n+lo..n+lo+len).  Row-major
     // two-pass form: accumulate every column's dot product while streaming the
     // affected rows, then apply the rank-1 update the same way.  Per column
@@ -75,25 +99,29 @@ fn apply_symplectic_householder(
     dots_bot.resize(dim, 0.0);
     {
         let wd = w.as_mut_slice();
-        for (k, &vk) in v.iter().enumerate() {
+        for &k in nonzeros.iter() {
+            let vk = v[k];
             let row_top = &wd[(lo + k) * dim..(lo + k + 1) * dim];
             for (d, &x) in dots_top.iter_mut().zip(row_top.iter()) {
                 *d += vk * x;
             }
         }
-        for (k, &vk) in v.iter().enumerate() {
+        for &k in nonzeros.iter() {
+            let vk = v[k];
             let row_bot = &wd[(n + lo + k) * dim..(n + lo + k + 1) * dim];
             for (d, &x) in dots_bot.iter_mut().zip(row_bot.iter()) {
                 *d += vk * x;
             }
         }
-        for (k, &vk) in v.iter().enumerate() {
+        for &k in nonzeros.iter() {
+            let vk = v[k];
             let row_top = &mut wd[(lo + k) * dim..(lo + k + 1) * dim];
             for (x, &d) in row_top.iter_mut().zip(dots_top.iter()) {
                 *x -= (beta * d) * vk;
             }
         }
-        for (k, &vk) in v.iter().enumerate() {
+        for &k in nonzeros.iter() {
+            let vk = v[k];
             let row_bot = &mut wd[(n + lo + k) * dim..(n + lo + k + 1) * dim];
             for (x, &d) in row_bot.iter_mut().zip(dots_bot.iter()) {
                 *x -= (beta * d) * vk;
@@ -107,15 +135,15 @@ fn apply_symplectic_householder(
         for row in md.chunks_exact_mut(dim) {
             let mut dot_top = 0.0;
             let mut dot_bot = 0.0;
-            for (k, &vk) in v.iter().enumerate() {
-                dot_top += row[lo + k] * vk;
-                dot_bot += row[n + lo + k] * vk;
+            for &k in nonzeros.iter() {
+                dot_top += row[lo + k] * v[k];
+                dot_bot += row[n + lo + k] * v[k];
             }
             let st = beta * dot_top;
             let sb = beta * dot_bot;
-            for (k, &vk) in v.iter().enumerate() {
-                row[lo + k] -= st * vk;
-                row[n + lo + k] -= sb * vk;
+            for &k in nonzeros.iter() {
+                row[lo + k] -= st * v[k];
+                row[n + lo + k] -= sb * v[k];
             }
         }
     };
@@ -175,6 +203,10 @@ fn householder(column: &[f64]) -> (Vec<f64>, f64) {
 /// * [`ShhError::StructureViolation`] when `w` is not (numerically)
 ///   skew-Hamiltonian.
 pub fn reduce(w: &Matrix, tol: f64) -> Result<PvlForm, ShhError> {
+    reduce_with(w, tol, apply_symplectic_householder)
+}
+
+fn reduce_with(w: &Matrix, tol: f64, apply: ApplyReflector) -> Result<PvlForm, ShhError> {
     if !w.is_square() || !w.rows().is_multiple_of(2) {
         return Err(ShhError::BadDimension { shape: w.shape() });
     }
@@ -187,10 +219,7 @@ pub fn reduce(w: &Matrix, tol: f64) -> Result<PvlForm, ShhError> {
     }
     let mut work = w.clone();
     let mut z = Matrix::identity(2 * n);
-    // Reusable dot-product scratch for the reflector applications (hoisted so
-    // the O(n) reflectors of one reduction allocate nothing per step).
-    let mut dots_top: Vec<f64> = Vec::new();
-    let mut dots_bot: Vec<f64> = Vec::new();
+    let mut scratch = Scratch::default();
 
     for j in 0..n.saturating_sub(1) {
         // Entries of the lower-left block in column j live in rows n+j+1 .. 2n.
@@ -199,16 +228,7 @@ pub fn reduce(w: &Matrix, tol: f64) -> Result<PvlForm, ShhError> {
         if n - (j + 1) > 1 {
             let col: Vec<f64> = ((j + 1)..n).map(|i| work[(n + i, j)]).collect();
             let (v, beta) = householder(&col);
-            apply_symplectic_householder(
-                &mut work,
-                &mut z,
-                n,
-                j + 1,
-                &v,
-                beta,
-                &mut dots_top,
-                &mut dots_bot,
-            );
+            apply(&mut work, &mut z, n, j + 1, &v, beta, &mut scratch);
         }
         // (2) Symplectic Givens in the (j+1, n+j+1) plane to rotate Q(j+1, j)
         //     into A(j+1, j).
@@ -227,16 +247,7 @@ pub fn reduce(w: &Matrix, tol: f64) -> Result<PvlForm, ShhError> {
         if n - (j + 1) > 1 {
             let col: Vec<f64> = ((j + 1)..n).map(|i| work[(i, j)]).collect();
             let (v, beta) = householder(&col);
-            apply_symplectic_householder(
-                &mut work,
-                &mut z,
-                n,
-                j + 1,
-                &v,
-                beta,
-                &mut dots_top,
-                &mut dots_bot,
-            );
+            apply(&mut work, &mut z, n, j + 1, &v, beta, &mut scratch);
         }
     }
 
@@ -302,6 +313,139 @@ mod tests {
         // Ψ skew-symmetric.
         assert!(form.psi().is_skew_symmetric(1e-8 * w.norm_fro().max(1.0)));
         form
+    }
+
+    /// The reflector application as it ran before the zero skip: every entry
+    /// of `v`, zero or not.
+    fn reference_householder(
+        w: &mut Matrix,
+        z: &mut Matrix,
+        n: usize,
+        lo: usize,
+        v: &[f64],
+        beta: f64,
+        scratch: &mut Scratch,
+    ) {
+        if beta == 0.0 {
+            return;
+        }
+        let dim = 2 * n;
+        let Scratch {
+            dots_top, dots_bot, ..
+        } = scratch;
+        dots_top.clear();
+        dots_top.resize(dim, 0.0);
+        dots_bot.clear();
+        dots_bot.resize(dim, 0.0);
+        {
+            let wd = w.as_mut_slice();
+            for (k, &vk) in v.iter().enumerate() {
+                let row_top = &wd[(lo + k) * dim..(lo + k + 1) * dim];
+                for (d, &x) in dots_top.iter_mut().zip(row_top.iter()) {
+                    *d += vk * x;
+                }
+            }
+            for (k, &vk) in v.iter().enumerate() {
+                let row_bot = &wd[(n + lo + k) * dim..(n + lo + k + 1) * dim];
+                for (d, &x) in dots_bot.iter_mut().zip(row_bot.iter()) {
+                    *d += vk * x;
+                }
+            }
+            for (k, &vk) in v.iter().enumerate() {
+                let row_top = &mut wd[(lo + k) * dim..(lo + k + 1) * dim];
+                for (x, &d) in row_top.iter_mut().zip(dots_top.iter()) {
+                    *x -= (beta * d) * vk;
+                }
+            }
+            for (k, &vk) in v.iter().enumerate() {
+                let row_bot = &mut wd[(n + lo + k) * dim..(n + lo + k + 1) * dim];
+                for (x, &d) in row_bot.iter_mut().zip(dots_bot.iter()) {
+                    *x -= (beta * d) * vk;
+                }
+            }
+        }
+        let apply_right = |mat: &mut Matrix| {
+            let md = mat.as_mut_slice();
+            for row in md.chunks_exact_mut(dim) {
+                let mut dot_top = 0.0;
+                let mut dot_bot = 0.0;
+                for (k, &vk) in v.iter().enumerate() {
+                    dot_top += row[lo + k] * vk;
+                    dot_bot += row[n + lo + k] * vk;
+                }
+                let st = beta * dot_top;
+                let sb = beta * dot_bot;
+                for (k, &vk) in v.iter().enumerate() {
+                    row[lo + k] -= st * vk;
+                    row[n + lo + k] -= sb * vk;
+                }
+            }
+        };
+        apply_right(w);
+        apply_right(z);
+    }
+
+    /// A skew-Hamiltonian matrix whose blocks keep roughly `density` of
+    /// their entries (deterministic pattern).
+    fn sparse_skew_hamiltonian(n: usize, density: f64, seed: usize) -> Matrix {
+        let pick = |i: usize, j: usize, salt: usize| {
+            let h = (i * 7919 + j * 104_729 + seed * 1_299_709 + salt) % 1000;
+            if (h as f64) < density * 1000.0 {
+                (h % 17) as f64 * 0.25 - 2.0
+            } else {
+                0.0
+            }
+        };
+        let a = Matrix::from_fn(n, n, |i, j| pick(i, j, 1));
+        let g = Matrix::from_fn(n, n, |i, j| pick(i, j, 2));
+        let q = Matrix::from_fn(n, n, |i, j| pick(i, j, 3));
+        skew_hamiltonian_from_blocks(&a, &g, &q).unwrap()
+    }
+
+    #[test]
+    fn zero_skipping_reflectors_match_the_full_length_reference() {
+        let mut inputs: Vec<(String, Matrix)> = Vec::new();
+        for (n, seed) in [(3, 1), (8, 2), (20, 3)] {
+            inputs.push((format!("dense {n}"), sample_skew_hamiltonian(n, seed)));
+        }
+        for (n, density) in [(12, 0.05), (30, 0.02), (30, 0.1), (45, 0.3)] {
+            inputs.push((
+                format!("sparse {n} at {density}"),
+                sparse_skew_hamiltonian(n, density, n),
+            ));
+        }
+        // Hessenberg A with zero G and Q: every collapsing reflector has a
+        // single nonzero entry and only flips a sign.
+        let h = Matrix::from_fn(25, 25, |i, j| {
+            if i <= j + 1 {
+                ((i * 3 + j * 5) % 7) as f64 - 3.0 + 0.5
+            } else {
+                0.0
+            }
+        });
+        inputs.push((
+            "hessenberg".into(),
+            Matrix::block_diag(&[&h, &h.transpose()]),
+        ));
+        let mut with_q = sparse_skew_hamiltonian(25, 0.04, 7);
+        for i in 0..25 {
+            for j in 0..25 {
+                with_q[(i, j)] = h[(i, j)];
+                with_q[(25 + j, 25 + i)] = h[(i, j)];
+            }
+        }
+        inputs.push(("hessenberg with sparse G, Q".into(), with_q));
+        for (name, w) in &inputs {
+            let fast = reduce(w, 1e-10).unwrap();
+            let reference = reduce_with(w, 1e-10, reference_householder).unwrap();
+            // `==` on f64: a skipped zero entry may flip the sign of an
+            // exact zero, nothing else.
+            assert!(fast.z == reference.z, "Z differs: {name}");
+            assert!(
+                fast.reduced == reference.reduced,
+                "PVL form differs: {name}"
+            );
+        }
     }
 
     #[test]
