@@ -18,7 +18,7 @@
 use crate::error::PassivityError;
 use ds_descriptor::{DescriptorSystem, StateSpace};
 use ds_linalg::decomp::lu;
-use ds_linalg::Matrix;
+use ds_linalg::{LinalgError, Matrix};
 use ds_shh::{pvl, stable_subspace};
 
 /// The regular Hamiltonian realization of the proper Φ-system
@@ -125,6 +125,26 @@ pub fn regularize(sys: &DescriptorSystem, rel_tol: f64) -> Result<RegularizedPhi
         d44: sys.d().clone(),
         half: n,
     })
+}
+
+/// The zero matrix `Z = A₄₄ − B₄₄ R⁻¹ C₄₄` of the regular realization, with
+/// `R = D_p + D_pᵀ` for the proper part's `D_p = D₄₄/2` (formed as
+/// [`extract_stable_part`] and the positive-real test form them).
+///
+/// The zeros of `Φ` are its eigenvalues.  `Φ = G_p + G_p~`, so the
+/// Hamiltonian matrix the positive-real test builds from the stable part
+/// ([`ds_shh::positive_real::hamiltonian_matrix`]) is the zero matrix of
+/// another realization of the same function, and similar to `Z`; unlike
+/// it, `Z` exists before the split.
+///
+/// # Errors
+///
+/// [`LinalgError::Singular`] when `R` is singular.
+pub fn zero_matrix(phi: &RegularizedPhi) -> Result<Matrix, LinalgError> {
+    let d_half = phi.d44.scale(0.5);
+    let r = &d_half + &d_half.transpose();
+    let br = phi.b44.matmul(&lu::inverse(&r)?)?;
+    Ok(&phi.a44 - &br.matmul(&phi.c44)?)
 }
 
 /// Splits the regularized Φ-system into a stable proper part plus its adjoint

@@ -68,7 +68,7 @@ pub use scenario::{
 };
 pub use store::{record_fingerprint, shard_tasks, task_fingerprint, ResultStore};
 pub use sweep::{run_sweep, run_sweep_with_progress, SweepRecord, SweepResult, SweepSpec};
-pub use sync::{lock_infallible, wait_timeout_infallible};
+pub use sync::{lock_infallible, wait_infallible, wait_timeout_infallible};
 
 /// Convenient glob import for downstream crates.
 pub mod prelude {

@@ -17,6 +17,12 @@ pub fn lock_infallible<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// [`Condvar::wait`] that recovers the guard from poisoning, so a panicked
+/// producer cannot wedge consumers parked on the condition.
+pub fn wait_infallible<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
+
 /// [`Condvar::wait_timeout`] that recovers the guard from poisoning, so a
 /// panicked producer cannot wedge consumers parked on the condition.
 pub fn wait_timeout_infallible<'a, T>(
@@ -48,6 +54,24 @@ mod tests {
         let mut guard = lock_infallible(&mutex);
         *guard += 1;
         assert_eq!(*guard, 8);
+    }
+
+    #[test]
+    fn wait_infallible_returns_once_notified() {
+        let state = std::sync::Arc::new((Mutex::new(false), Condvar::new()));
+        let notifier = {
+            let state = std::sync::Arc::clone(&state);
+            std::thread::spawn(move || {
+                *lock_infallible(&state.0) = true;
+                state.1.notify_all();
+            })
+        };
+        let mut ready = lock_infallible(&state.0);
+        while !*ready {
+            ready = wait_infallible(&state.1, ready);
+        }
+        drop(ready);
+        notifier.join().unwrap();
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The trace export schema identifier.
 pub const TRACE_SCHEMA: &str = "ds-trace/v1";
@@ -203,6 +203,31 @@ pub fn span(name: &str) -> SpanGuard {
 pub fn in_span<T>(name: &str, f: impl FnOnce() -> T) -> T {
     let _span = span(name);
     f()
+}
+
+/// Records a span timed elsewhere — typically on a helper thread, whose own
+/// spans go nowhere — that started at `started` and ran for `elapsed`, as a
+/// child of the calling thread's innermost open span.  It takes the next
+/// `seq` when recorded.  A no-op unless [`begin`] armed this thread.
+pub fn record(name: &str, started: Instant, elapsed: Duration) {
+    COLLECTOR.with(|c| {
+        let mut slot = c.borrow_mut();
+        let Some(collector) = slot.as_mut() else {
+            return;
+        };
+        let seq = collector.next_seq;
+        collector.next_seq += 1;
+        collector.spans.push(SpanRecord {
+            seq,
+            parent: collector.open.last().copied(),
+            depth: collector.open.len(),
+            name: name.to_string(),
+            start_ns: started
+                .saturating_duration_since(collector.origin)
+                .as_nanos() as u64,
+            elapsed_ns: elapsed.as_nanos() as u64,
+        });
+    });
 }
 
 impl Drop for SpanGuard {
@@ -420,6 +445,46 @@ mod tests {
     fn disarmed_spans_are_noops() {
         let _s = span("ignored");
         assert!(end().is_none());
+    }
+
+    #[test]
+    fn recorded_spans_join_the_innermost_open_span() {
+        begin("record");
+        let origin_bound = Instant::now();
+        let (started, elapsed) = {
+            let _outer = span("outer");
+            let _split = span("split");
+            // Timed "elsewhere": the interval is handed over, not measured.
+            let started = Instant::now();
+            std::thread::sleep(Duration::from_millis(2));
+            let elapsed = started.elapsed();
+            record("zeros", started, elapsed);
+            let _after = span("after");
+            (started, elapsed)
+        };
+        let trace = end().expect("trace");
+        let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["outer", "split", "zeros", "after"]);
+        let (split, zeros, after) = (&trace.spans[1], &trace.spans[2], &trace.spans[3]);
+        assert_eq!((zeros.parent, zeros.depth), (Some(split.seq), 2));
+        assert!(split.seq < zeros.seq && zeros.seq < after.seq);
+        assert_eq!(zeros.elapsed_ns, elapsed.as_nanos() as u64);
+        // The offset is the interval's own start, measured from the origin
+        // (armed no later than `origin_bound`).
+        let offset = started.duration_since(origin_bound).as_nanos() as u64;
+        assert!(zeros.start_ns >= offset && zeros.start_ns >= split.start_ns);
+        assert!(zeros.start_ns + zeros.elapsed_ns <= after.start_ns);
+    }
+
+    #[test]
+    fn recording_without_an_armed_trace_is_a_noop() {
+        let started = Instant::now();
+        record("zeros", started, started.elapsed());
+        assert!(end().is_none());
+        // Nothing leaks into a trace armed afterwards.
+        begin("later");
+        let trace = end().expect("trace");
+        assert!(trace.spans.is_empty());
     }
 
     #[test]

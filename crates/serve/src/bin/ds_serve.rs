@@ -78,9 +78,9 @@ fn main() -> ExitCode {
     println!("ds-serve listening on http://{}", server.local_addr());
     let _ = std::io::stdout().flush();
 
-    while !signal::shutdown_requested() && !server.shutdown_requested() {
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    // `POST /shutdown` wakes this wait at once.  A signal handler can only
+    // set a flag, so that flag is read between bounded waits.
+    while !signal::shutdown_requested() && !server.wait_for_shutdown(Duration::from_millis(50)) {}
     eprintln!("ds-serve: shutting down (draining queue, flushing store)");
     match server.stop() {
         Ok(()) => {

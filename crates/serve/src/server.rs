@@ -24,26 +24,26 @@
 //!
 //! The accept loop blocks in `accept` and never polls.  Shutdown (requested
 //! by `Server::stop`, by `POST /shutdown`, or — in the binary — by
-//! SIGINT/SIGTERM) sets a flag; `Server::stop` then wakes the loop with one
-//! connection to the server's own address, and the first accept that sees
-//! the flag ends it.  Then the server drains: queued checks finish, pending
-//! store records flush as a segment, and the merged artifacts are rewritten,
-//! so a restarted server answers every verdict it ever computed from its
-//! store tier.
+//! SIGINT/SIGTERM) sets a flag and wakes whoever waits in
+//! `Server::wait_for_shutdown`; `Server::stop` then wakes the accept loop
+//! with one connection to the server's own address, and the first accept
+//! that sees the flag ends it.  Then the server drains: queued checks
+//! finish, pending store records flush as a segment, and the merged
+//! artifacts are rewritten, so a restarted server answers every verdict it
+//! ever computed from its store tier.
 
 use crate::http::{read_request, Request, RequestError, Response};
 use crate::service::{error_response, CheckJob, CheckReply, CheckService, SubmitError};
 use ds_obs::metrics::names;
 use ds_passivity_suite::harness::json;
-use ds_passivity_suite::harness::sync::lock_infallible;
+use ds_passivity_suite::harness::sync::{lock_infallible, wait_timeout_infallible};
 use ds_passivity_suite::harness::Method;
 use ds_passivity_suite::netlist::parse_deck;
 use ds_passivity_suite::{SuiteError, REPORT_SCHEMA};
 use std::io::{BufReader, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -78,16 +78,35 @@ impl Default for ServerConfig {
     }
 }
 
+/// The shutdown request: a flag, set under its mutex before the condvar
+/// wakes the threads waiting for it, so no wakeup is lost.
+#[derive(Default)]
+struct Shutdown {
+    requested: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl Shutdown {
+    fn request(&self) {
+        *lock_infallible(&self.requested) = true;
+        self.wake.notify_all();
+    }
+
+    fn requested(&self) -> bool {
+        *lock_infallible(&self.requested)
+    }
+}
+
 struct Ctx {
     service: CheckService,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<Shutdown>,
     max_body_bytes: usize,
 }
 
 /// A running daemon; dropped handles keep serving until [`Server::stop`].
 pub struct Server {
     local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<Shutdown>,
     ctx: Arc<Ctx>,
     accept_handle: Option<JoinHandle<TcpListener>>,
     connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
@@ -111,7 +130,7 @@ impl Server {
             config.cache_capacity,
             config.store_dir.as_deref(),
         )?;
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let shutdown = Arc::new(Shutdown::default());
         let ctx = Arc::new(Ctx {
             service,
             shutdown: Arc::clone(&shutdown),
@@ -151,7 +170,18 @@ impl Server {
     /// Whether shutdown has been requested (via [`Server::stop`] or
     /// `POST /shutdown`).
     pub fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.shutdown.requested()
+    }
+
+    /// Blocks until shutdown is requested (via [`Server::stop`] or
+    /// `POST /shutdown`), at most for `timeout` (less on a spurious wakeup);
+    /// returns whether it was requested.  The request wakes the wait at once.
+    pub fn wait_for_shutdown(&self, timeout: Duration) -> bool {
+        let requested = lock_infallible(&self.shutdown.requested);
+        if *requested {
+            return true;
+        }
+        *wait_timeout_infallible(&self.shutdown.wake, requested, timeout).0
     }
 
     /// The `/stats` body, for in-process observers.
@@ -168,7 +198,7 @@ impl Server {
     /// blocked accept loop (whose thread is then left behind, not joined);
     /// the workers are always torn down.
     pub fn stop(mut self) -> Result<(), SuiteError> {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown.request();
         let wake = wake_addr(self.local_addr);
         let woken = TcpStream::connect_timeout(&wake, Duration::from_secs(5))
             .map(drop)
@@ -200,7 +230,7 @@ fn wake_addr(local: SocketAddr) -> SocketAddr {
 
 fn accept_loop(
     listener: &TcpListener,
-    shutdown: &AtomicBool,
+    shutdown: &Shutdown,
     ctx: &Arc<Ctx>,
     connections: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
@@ -208,7 +238,7 @@ fn accept_loop(
         let accepted = listener.accept();
         // The wake-up connection from `Server::stop` (or any client that
         // races it) is dropped unanswered.
-        if shutdown.load(Ordering::SeqCst) {
+        if shutdown.requested() {
             return;
         }
         match accepted {
@@ -311,7 +341,7 @@ fn route(request: &Request, ctx: &Ctx) -> Response {
             }
         }
         ("POST", "/shutdown") => {
-            ctx.shutdown.store(true, Ordering::SeqCst);
+            ctx.shutdown.request();
             Response::json(200, "{\"status\":\"shutting-down\"}")
         }
         ("POST", "/check") => check(request, ctx),

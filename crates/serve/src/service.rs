@@ -22,7 +22,7 @@ use crate::cache::LruCache;
 use ds_obs::metrics::{names, Counter, Gauge, Histogram};
 use ds_obs::trace::{SpanRecord, Trace, TraceRing};
 use ds_passivity_suite::harness::json;
-use ds_passivity_suite::harness::sync::{lock_infallible, wait_timeout_infallible};
+use ds_passivity_suite::harness::sync::{lock_infallible, wait_infallible};
 use ds_passivity_suite::harness::{Method, ResultStore, Subject, SweepRecord};
 use ds_passivity_suite::netlist::Deck;
 use ds_passivity_suite::shh::krylov::ReduceSpec;
@@ -463,7 +463,12 @@ impl CheckService {
     /// Reports store-flush failures (the queue is always drained).
     /// Idempotent: a second call finds nothing left to drain or flush.
     pub fn stop(&self) -> Result<(), SuiteError> {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        // Set under the queue mutex, so a worker either sees the flag before
+        // it waits or is already waiting when the notification comes.
+        {
+            let _queue = lock_infallible(&self.inner.queue);
+            self.inner.shutdown.store(true, Ordering::SeqCst);
+        }
         self.inner.available.notify_all();
         let handles: Vec<JoinHandle<()>> = lock_infallible(&self.workers).drain(..).collect();
         for handle in handles {
@@ -563,9 +568,7 @@ fn worker_loop(inner: &Inner) {
                 if inner.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                let (guard, _) =
-                    wait_timeout_infallible(&inner.available, queue, Duration::from_millis(100));
-                queue = guard;
+                queue = wait_infallible(&inner.available, queue);
             }
         };
         inner

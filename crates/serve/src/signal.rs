@@ -1,5 +1,6 @@
 //! Graceful-shutdown signals: SIGINT / SIGTERM set a process-wide flag that
-//! the daemon's run loop polls.
+//! the daemon's run loop reads between its bounded waits for a
+//! `POST /shutdown`.
 //!
 //! The handler itself does the only async-signal-safe thing possible — a
 //! relaxed atomic store — and everything else (queue drain, store flush)

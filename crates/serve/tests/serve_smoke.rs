@@ -4,9 +4,10 @@
 //! new computations), terminate gracefully with SIGTERM (exit 0, segment
 //! flushed), then restart on the same store and verify every verdict replays
 //! from disk without recomputation.  It also cross-checks the latency a
-//! client sees against the daemon's own `/stats` quantiles, and stops
-//! in-process servers: bound to loopback or to the unspecified address, and
-//! after a `POST /shutdown` already ended the accept loop.
+//! client sees against the daemon's own `/stats` quantiles, times the exit
+//! that follows a `POST /shutdown`, and stops in-process servers: bound to
+//! loopback or to the unspecified address, after a `POST /shutdown` already
+//! ended the accept loop, and a hundred times in a row with idle workers.
 
 #![cfg(unix)]
 
@@ -315,4 +316,62 @@ fn stop_succeeds_after_post_shutdown_ended_the_accept_loop() {
     // ... yet the listener stays bound until `stop` joins the loop, so the
     // wake-up connection still lands and `stop` reports no error.
     server.stop().unwrap();
+}
+
+/// Daemon runs timed by [`post_shutdown_exits_without_waiting_out_a_poll`].
+const SHUTDOWN_RUNS: usize = 10;
+
+#[test]
+fn post_shutdown_exits_without_waiting_out_a_poll() {
+    let mut exit_ms: Vec<f64> = (0..SHUTDOWN_RUNS)
+        .map(|run| {
+            let store = std::env::temp_dir()
+                .join(format!("ds-serve-smoke-exit-{}-{run}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&store);
+            let (mut child, addr) = spawn_daemon(&store);
+            let reply = client::post(addr, "/shutdown", "").unwrap();
+            let replied = Instant::now();
+            let exit = child.wait().unwrap();
+            let elapsed = replied.elapsed().as_secs_f64() * 1e3;
+            let _ = std::fs::remove_dir_all(&store);
+            assert_eq!(reply.status, 200, "run {run}: {}", reply.body);
+            assert!(exit.success(), "run {run}: daemon exited with {exit:?}");
+            elapsed
+        })
+        .collect();
+    exit_ms.sort_by(f64::total_cmp);
+    let median = exit_ms[SHUTDOWN_RUNS / 2];
+    assert!(
+        median < 10.0,
+        "median {median:.1} ms from the /shutdown reply to exit: {exit_ms:?}"
+    );
+}
+
+#[test]
+fn idle_servers_stop_a_hundred_times_in_a_row() {
+    let (done, finished) = std::sync::mpsc::channel();
+    let cycles = std::thread::spawn(move || {
+        for cycle in 0..100 {
+            let server = Server::start(ServerConfig {
+                addr: "127.0.0.1:0".to_string(),
+                workers: 2,
+                ..ServerConfig::default()
+            })
+            .unwrap();
+            // One round trip gives the workers time to park on the queue.
+            assert_eq!(
+                client::get(server.local_addr(), "/health").unwrap().status,
+                200,
+                "cycle {cycle}"
+            );
+            server.stop().unwrap();
+        }
+        let _ = done.send(());
+    });
+    // A lost wakeup leaves a worker parked forever and `stop` blocked in its
+    // join: fail instead of wedging the suite.
+    finished
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a hundred start/stop cycles did not finish within 60 s");
+    cycles.join().unwrap();
 }

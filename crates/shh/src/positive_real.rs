@@ -15,13 +15,19 @@
 //! Imaginary-axis eigenvalues are classified by sampling the Popov function in
 //! the frequency intervals they delimit (touching ⇒ still positive real,
 //! crossing ⇒ not).
+//!
+//! `M` is the zero matrix of the realization of `G + G~`, so any realization
+//! of the same Popov function gives its eigenvalues from a similar matrix:
+//! [`test_positive_real_with`] classifies a spectrum its caller supplies
+//! (the passivity flow computes it from `Φ`'s regular realization before the
+//! proper part exists), and [`test_positive_real`] feeds it `M`'s.
 
 use crate::error::ShhError;
 use crate::structure;
 use ds_descriptor::system::StateSpace;
 use ds_descriptor::transfer;
 use ds_linalg::decomp::{lu, symmetric};
-use ds_linalg::eigen;
+use ds_linalg::{eigen, Complex, Matrix};
 
 /// Outcome of a positive-realness test.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,6 +90,47 @@ impl Default for PositiveRealOptions {
     }
 }
 
+/// The eigenvalues the Hamiltonian test classifies, with the Frobenius norm
+/// of the matrix they were computed from (it scales the imaginary-axis
+/// tolerance).
+#[derive(Debug, Clone)]
+pub struct HamiltonianSpectrum {
+    /// The eigenvalues, in any order.
+    pub eigenvalues: Vec<Complex>,
+    /// `‖·‖_F` of the matrix that was solved.
+    pub norm_fro: f64,
+}
+
+impl HamiltonianSpectrum {
+    /// The eigenvalues of `m`, with its Frobenius norm.
+    ///
+    /// # Errors
+    ///
+    /// Propagates eigensolver failures.
+    pub fn of(m: &Matrix) -> Result<Self, ShhError> {
+        Ok(HamiltonianSpectrum {
+            eigenvalues: eigen::eigenvalues(m)?,
+            norm_fro: m.norm_fro(),
+        })
+    }
+}
+
+/// The Hamiltonian matrix `M` of the module documentation, with
+/// `R = D + Dᵀ`.
+///
+/// # Errors
+///
+/// [`ShhError::Numerical`] when `R` is singular; dimension mismatches.
+pub fn hamiltonian_matrix(ss: &StateSpace) -> Result<Matrix, ShhError> {
+    let r = &ss.d + &ss.d.transpose();
+    let r_inv = lu::inverse(&r)?;
+    let br = ss.b.matmul(&r_inv)?;
+    let a_tilde = &ss.a - &br.matmul(&ss.c)?;
+    let g = br.matmul(&ss.b.transpose())?.scale(-1.0);
+    let q = ss.c.transpose_matmul(&r_inv.matmul(&ss.c)?)?;
+    structure::hamiltonian_from_blocks(&a_tilde, &g, &q)
+}
+
 /// Tests positive realness of a proper state-space system using the
 /// Hamiltonian-eigenvalue test, falling back to frequency sampling when
 /// `D + Dᵀ` is singular.
@@ -99,6 +146,25 @@ impl Default for PositiveRealOptions {
 pub fn test_positive_real(
     ss: &StateSpace,
     options: &PositiveRealOptions,
+) -> Result<PositiveRealVerdict, ShhError> {
+    test_positive_real_with(ss, options, || {
+        HamiltonianSpectrum::of(&hamiltonian_matrix(ss)?)
+    })
+}
+
+/// [`test_positive_real`] with the Hamiltonian eigenvalues taken from
+/// `spectrum`, which must return the eigenvalues of a matrix similar to
+/// [`hamiltonian_matrix`]`(ss)`.  It is called only when the test reaches
+/// the Hamiltonian path (`D + Dᵀ` numerically positive definite), so its
+/// errors surface only there.
+///
+/// # Errors
+///
+/// Same as [`test_positive_real`], plus whatever `spectrum` returns.
+pub fn test_positive_real_with(
+    ss: &StateSpace,
+    options: &PositiveRealOptions,
+    spectrum: impl FnOnce() -> Result<HamiltonianSpectrum, ShhError>,
 ) -> Result<PositiveRealVerdict, ShhError> {
     if ss.num_inputs() != ss.num_outputs() {
         return Err(ShhError::NotSquareSystem {
@@ -152,16 +218,10 @@ pub fn test_positive_real(
     }
 
     // Hamiltonian-eigenvalue test.
-    let r_inv = lu::inverse(&r)?;
-    let br = ss.b.matmul(&r_inv)?;
-    let a_tilde = &ss.a - &br.matmul(&ss.c)?;
-    let g = br.matmul(&ss.b.transpose())?.scale(-1.0);
-    let q = ss.c.transpose_matmul(&r_inv.matmul(&ss.c)?)?;
-    let hamiltonian = structure::hamiltonian_from_blocks(&a_tilde, &g, &q)?;
-    let eigs = eigen::eigenvalues(&hamiltonian)?;
-    let ham_scale = hamiltonian.norm_fro().max(1.0);
-    let axis_tol = tol.max(1e-10) * ham_scale;
-    let mut boundary: Vec<f64> = eigs
+    let spectrum = spectrum()?;
+    let axis_tol = tol.max(1e-10) * spectrum.norm_fro.max(1.0);
+    let mut boundary: Vec<f64> = spectrum
+        .eigenvalues
         .iter()
         .filter(|z| z.re.abs() <= axis_tol)
         .map(|z| z.im.abs())
@@ -259,7 +319,6 @@ fn evaluate_popov_over(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ds_linalg::Matrix;
 
     fn opts() -> PositiveRealOptions {
         PositiveRealOptions::default()
@@ -437,6 +496,46 @@ mod tests {
             other => panic!("expected PositiveReal, got {other:?}"),
         }
         assert!(verdict.is_positive_real());
+    }
+
+    #[test]
+    fn spectrum_is_requested_only_on_the_hamiltonian_path() {
+        let failing =
+            || -> Result<HamiltonianSpectrum, ShhError> { Err(ShhError::ImaginaryAxisEigenvalues) };
+        // D + Dᵀ = 0: the sampling fallback never asks for the spectrum.
+        let sampled = test_positive_real_with(&pr_no_feedthrough(), &opts(), failing);
+        assert!(sampled.unwrap().is_positive_real());
+        // D + Dᵀ ≻ 0: the spectrum's error surfaces.
+        assert!(test_positive_real_with(&spr_system(), &opts(), failing).is_err());
+    }
+
+    #[test]
+    fn a_similar_matrix_gives_the_same_verdict() {
+        // Boundary case at ω = 1 (see the lossless test below), classified
+        // from T·M·T⁻¹ with a diagonal T.
+        let a = Matrix::from_rows(&[&[-1.0, -1.0], &[1.0, 0.0]]);
+        let ss = StateSpace::new(
+            a,
+            Matrix::column(&[1.0, 0.0]),
+            Matrix::row_vector(&[-1.0, 0.0]),
+            Matrix::filled(1, 1, 1.0),
+        )
+        .unwrap();
+        let m = hamiltonian_matrix(&ss).unwrap();
+        let t = [1.0, 4.0, 0.5, 2.0];
+        let similar = Matrix::from_fn(4, 4, |i, j| t[i] * m[(i, j)] / t[j]);
+        let verdicts = [
+            test_positive_real(&ss, &opts()).unwrap(),
+            test_positive_real_with(&ss, &opts(), || HamiltonianSpectrum::of(&similar)).unwrap(),
+        ];
+        for verdict in verdicts {
+            match verdict {
+                PositiveRealVerdict::PositiveReal {
+                    boundary_frequencies,
+                } => assert!(boundary_frequencies.iter().any(|w| (w - 1.0).abs() < 1e-5)),
+                other => panic!("expected PositiveReal, got {other:?}"),
+            }
+        }
     }
 
     #[test]

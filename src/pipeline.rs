@@ -618,6 +618,41 @@ mod tests {
     }
 
     #[test]
+    fn overlapped_stage_spans_cover_the_method_span() {
+        // 2n_p = 194: with a spare core, a helper computes the zeros of Φ
+        // beside the split.
+        let model = generators::rlc_ladder_with_impulsive(100).unwrap();
+        let (outcome, trace) = traced(PassivityCheck::model(model));
+        assert_eq!(outcome.passive, Some(true));
+        let method = trace.spans.iter().find(|s| s.name == "method").unwrap();
+        let stages: Vec<_> = trace
+            .spans
+            .iter()
+            .filter(|s| s.parent == Some(method.seq))
+            .collect();
+        let names: Vec<&str> = stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ds_obs::STAGES[2..]);
+        let covered: u64 = stages.iter().map(|s| s.elapsed_ns).sum();
+        let share = covered as f64 / method.elapsed_ns as f64;
+        assert!(
+            (0.99..=1.0).contains(&share),
+            "stages cover {share:.4} of `method`"
+        );
+        let zeros: Vec<_> = trace.spans.iter().filter(|s| s.name == "zeros").collect();
+        assert_eq!(zeros.len(), 1, "one eigensolve");
+        let zeros = zeros[0];
+        let stage = |name: &str| *stages.iter().find(|s| s.name == name).unwrap();
+        if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
+            let split = stage("split");
+            assert_eq!(zeros.parent, Some(split.seq));
+            assert!(zeros.start_ns >= split.start_ns);
+            assert!(zeros.start_ns + zeros.elapsed_ns <= split.start_ns + split.elapsed_ns);
+        } else {
+            assert_eq!(zeros.parent, Some(stage("pr_test").seq));
+        }
+    }
+
+    #[test]
     fn baseline_traces_hold_no_stage_span() {
         let model = generators::rlc_ladder_with_impulsive(12).unwrap();
         for method in [Method::Weierstrass, Method::Lmi] {
