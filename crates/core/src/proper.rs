@@ -19,7 +19,7 @@ use crate::error::PassivityError;
 use ds_descriptor::{DescriptorSystem, StateSpace};
 use ds_linalg::decomp::lu;
 use ds_linalg::{LinalgError, Matrix};
-use ds_shh::{pvl, stable_subspace};
+use ds_shh::{pvl, stable_subspace, structure};
 
 /// The regular Hamiltonian realization of the proper Φ-system
 /// (intermediate result of eq. (21)).
@@ -44,9 +44,6 @@ pub struct ProperPart {
     /// `D_p = (D_Φ)/2`.  Its Hermitian part on the imaginary axis equals that
     /// of the true proper part of `G(s)`.
     pub state_space: StateSpace,
-    /// Residual of the block-diagonalization (norm of the off-diagonal
-    /// coupling after the Lyapunov decoupling); a diagnostic for conditioning.
-    pub decoupling_residual: f64,
 }
 
 /// Converts the restored SHH pencil into a regular pencil with a Hamiltonian
@@ -172,7 +169,6 @@ pub fn extract_stable_part(
                 Matrix::zeros(m_out, 0),
                 d_half,
             )?,
-            decoupling_residual: 0.0,
         });
     }
     let split =
@@ -182,24 +178,17 @@ pub fn extract_stable_part(
     // leaves the diagonal blocks untouched, so the stable part reads off the
     // split directly and the full 2n × 2n similarity `Z₂⁻¹ A₄₄ Z₂` never needs
     // to be formed:
-    //   A₅ = [[Ã, ÃY + YÃᵀ + Γ], [0, −Ãᵀ]],
+    //   A₅ = [[Ã, ÃY + YÃᵀ + Γ], [0, −Ãᵀ]]  (the off-diagonal block is 0),
     //   B₅ = [[Uᵀ − Y·(−JU)ᵀ], [(−JU)ᵀ]]·B₄₄,   C₅ = C₄₄·[U, …].
-    let y = &split.decoupling;
-    // The would-be off-diagonal block of A₅ is exactly the Lyapunov residual —
-    // keep it as the conditioning diagnostic.
-    let residual = &(&split.stable_block.matmul(y)?
-        + &y.matmul(&split.stable_block.transpose())?)
-        + &split.coupling_block;
-    let coupling = residual.norm_max();
-
-    let z1t_b = split.z1.transpose_matmul(&phi.b44)?;
-    let b_stable = &z1t_b.block(0, n, 0, m_in) - &y.matmul(&z1t_b.block(n, 2 * n, 0, m_in))?;
-    let c_stable = phi.c44.matmul(&split.stable_basis)?;
+    let u = &split.stable_basis;
+    let nju = structure::jt_mul(u).map_err(PassivityError::Shh)?;
+    let ut_b = u.transpose_matmul(&phi.b44)?;
+    let b_stable = &ut_b - &split.decoupling.matmul(&nju.transpose_matmul(&phi.b44)?)?;
+    let c_stable = phi.c44.matmul(u)?;
     debug_assert_eq!(c_stable.shape(), (m_out, n));
 
     Ok(ProperPart {
         state_space: StateSpace::new(split.stable_block, b_stable, c_stable, d_half)?,
-        decoupling_residual: coupling,
     })
 }
 
@@ -223,7 +212,6 @@ mod tests {
     use crate::reduction;
     use ds_descriptor::transfer;
     use ds_shh::pencil::build_phi;
-    use ds_shh::structure;
 
     /// Runs the full stage-1..3 pipeline on a descriptor system and returns the
     /// restored SHH pencil of the proper Φ-part.
@@ -256,7 +244,13 @@ mod tests {
         let sys = proper_rc();
         let restored = pipeline(&sys);
         let proper = extract_proper_part(&restored, 1e-10).unwrap();
-        assert!(proper.decoupling_residual < 1e-7);
+        // The decoupling leaves ÃY + YÃᵀ + Γ = 0, Γ = Uᵀ·A₄₄·(−JU).
+        let regular = regularize(&restored, 1e-10).unwrap();
+        let split = stable_subspace::hamiltonian_split(&regular.a44, 1e-10).unwrap();
+        let (u, a, y) = (&split.stable_basis, &split.stable_block, &split.decoupling);
+        let gamma = u.transpose_matmul(&(&regular.a44 * &structure::jt_mul(u).unwrap()));
+        let residual = &(&(a * y) + &(y * &a.transpose())) + &gamma.unwrap();
+        assert!(residual.norm_max() < 1e-7);
         let ss = &proper.state_space;
         assert_eq!(ss.order(), 1);
         assert!(ss.is_stable(1e-10).unwrap());

@@ -88,7 +88,7 @@ pub fn reduce_blocked_in(
 
 fn reduce_impl(
     h: &mut Matrix,
-    mut q: Option<&mut Matrix>,
+    q: Option<&mut Matrix>,
     scratch: &mut ReflectorScratch,
     blocked: bool,
 ) -> Result<(), LinalgError> {
@@ -98,12 +98,28 @@ fn reduce_impl(
             shape: h.shape(),
         });
     }
+    crate::simd::wide(
+        #[inline(always)]
+        || reduce_body(h, q, scratch, blocked),
+    );
+    Ok(())
+}
+
+/// Body of [`reduce_in`] and [`reduce_blocked_in`] for a square `h`, run
+/// through [`crate::simd::wide`].
+#[inline(always)]
+pub(crate) fn reduce_body(
+    h: &mut Matrix,
+    mut q: Option<&mut Matrix>,
+    scratch: &mut ReflectorScratch,
+    blocked: bool,
+) {
     let n = h.rows();
     if let Some(q) = q.as_deref_mut() {
         q.set_identity(n);
     }
     if n <= 2 {
-        return Ok(());
+        return;
     }
     if blocked {
         blocked_sweep(h, q, scratch, PANEL_NB);
@@ -117,11 +133,48 @@ fn reduce_impl(
             hd[i * n + j] = 0.0;
         }
     }
-    Ok(())
+}
+
+/// Calls `emit(r, dot)` for `r in 0..count`, where `dot` is the dot product
+/// of `x` with row `r` of `mat`, `mat[r * stride..][..x.len()]`.
+///
+/// Four rows accumulate side by side, each in ascending order, so every
+/// result is bit for bit the one-row-at-a-time loop's while the chain of
+/// dependent additions is a quarter as long.
+#[inline(always)]
+fn row_dots(mat: &[f64], stride: usize, count: usize, x: &[f64], mut emit: impl FnMut(usize, f64)) {
+    let len = x.len();
+    let mut r = 0;
+    while r + 4 <= count {
+        let a0 = &mat[r * stride..][..len];
+        let a1 = &mat[(r + 1) * stride..][..len];
+        let a2 = &mat[(r + 2) * stride..][..len];
+        let a3 = &mat[(r + 3) * stride..][..len];
+        let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
+        for (l, &xl) in x.iter().enumerate() {
+            s0 += a0[l] * xl;
+            s1 += a1[l] * xl;
+            s2 += a2[l] * xl;
+            s3 += a3[l] * xl;
+        }
+        emit(r, s0);
+        emit(r + 1, s1);
+        emit(r + 2, s2);
+        emit(r + 3, s3);
+        r += 4;
+    }
+    for r in r..count {
+        let mut acc = 0.0;
+        for (&al, &xl) in mat[r * stride..][..len].iter().zip(x) {
+            acc += al * xl;
+        }
+        emit(r, acc);
+    }
 }
 
 /// One reflector at a time; every update is a rank-1 sweep applied
 /// immediately.  Kept bit-identical to the historical kernel.
+#[inline(always)]
 fn unblocked_sweep(h: &mut Matrix, mut q: Option<&mut Matrix>, scratch: &mut ReflectorScratch) {
     let n = h.rows();
     let hv = &mut scratch.hv;
@@ -225,6 +278,10 @@ fn unblocked_sweep(h: &mut Matrix, mut q: Option<&mut Matrix>, scratch: &mut Ref
 /// the zero reflector `v_j = 0, β_j = 0` — column `j` of `V`, `T` and `U`
 /// stays zero and the aggregated product is unaffected, mirroring the
 /// unblocked `continue`.
+///
+/// Every dot product over a row of `A`, `U` or `V` runs through
+/// [`row_dots`], four rows at a time.
+#[inline(always)]
 fn blocked_sweep(
     h: &mut Matrix,
     mut q: Option<&mut Matrix>,
@@ -274,14 +331,7 @@ fn blocked_sweep(
                     tmp[i] = acc;
                 }
                 // Right half: x ← x − U·tmp (all rows).
-                for (i, xi) in x.iter_mut().enumerate() {
-                    let urow = &u[i * nbe..i * nbe + j];
-                    let mut acc = 0.0;
-                    for (ul, tl) in urow.iter().zip(tmp.iter()) {
-                        acc += ul * tl;
-                    }
-                    *xi -= acc;
-                }
+                row_dots(u, nbe, n, tmp, |i, acc| x[i] -= acc);
                 // Left half: x ← x − V·(Tᵀ·(Vᵀ x)) over rows k0+1..n.
                 tmp.fill(0.0);
                 for r in 0..vrows {
@@ -300,14 +350,7 @@ fn blocked_sweep(
                     }
                     tmp[idx] = acc;
                 }
-                for r in 0..vrows {
-                    let vrow = &v[r * nbe..r * nbe + j];
-                    let mut acc = 0.0;
-                    for (vl, tl) in vrow.iter().zip(tmp.iter()) {
-                        acc += vl * tl;
-                    }
-                    x[k0 + 1 + r] -= acc;
-                }
+                row_dots(v, nbe, vrows, tmp, |r, acc| x[k0 + 1 + r] -= acc);
             }
             // Householder vector annihilating x[c+2..]; zero reflector when
             // the tail is already negligible.
@@ -372,17 +415,11 @@ fn blocked_sweep(
                 scratch.panel_t[j * nbe + j] = beta;
                 // U column j = A[:, c+1..n]·v_j against the original trailing
                 // columns (panel columns > c are not yet written back).
-                let hd = h.as_slice();
                 let vj = &scratch.hv[..vlen];
                 let u = &mut scratch.panel_u;
-                for i in 0..n {
-                    let arow = &hd[i * n + (c + 1)..(i + 1) * n];
-                    let mut acc = 0.0;
-                    for (al, vl) in arow.iter().zip(vj.iter()) {
-                        acc += al * vl;
-                    }
+                row_dots(&h.as_slice()[c + 1..], n, n, vj, |i, acc| {
                     u[i * nbe + j] = acc;
-                }
+                });
             }
         }
 
@@ -402,21 +439,19 @@ fn blocked_sweep(
                     urow[l] = acc;
                 }
             }
-            let v = &scratch.panel_v;
+            let v = &scratch.panel_v[(nbe - 1) * nbe..];
             let hd = h.as_mut_slice();
             for i in 0..n {
-                let (wrow, hrow) = {
-                    let urow = &u[i * nbe..(i + 1) * nbe];
-                    (urow, i * n)
-                };
-                for r in (nbe - 1)..vrows {
-                    let vrow = &v[r * nbe..(r + 1) * nbe];
-                    let mut acc = 0.0;
-                    for (wl, vl) in wrow.iter().zip(vrow.iter()) {
-                        acc += wl * vl;
-                    }
-                    hd[hrow + k0 + 1 + r] -= acc;
-                }
+                let hrow = &mut hd[i * n + k0 + nbe..(i + 1) * n];
+                row_dots(
+                    v,
+                    nbe,
+                    vrows + 1 - nbe,
+                    &u[i * nbe..(i + 1) * nbe],
+                    |r, acc| {
+                        hrow[r] -= acc;
+                    },
+                );
             }
         }
         // Aggregated left update: A[k0+1.., k0+nbe..] ← same − V·(Tᵀ·(Vᵀ·A)).
@@ -507,16 +542,10 @@ fn blocked_sweep(
                 }
             }
             for i in 0..n {
-                let mrow = &qv[i * nbe..(i + 1) * nbe];
                 let qrow = &mut qd[i * n + k0 + 1..(i + 1) * n];
-                for (r, qx) in qrow.iter_mut().enumerate() {
-                    let vrow = &v[r * nbe..(r + 1) * nbe];
-                    let mut acc = 0.0;
-                    for (ml, vl) in mrow.iter().zip(vrow.iter()) {
-                        acc += ml * vl;
-                    }
-                    *qx -= acc;
-                }
+                row_dots(v, nbe, vrows, &qv[i * nbe..(i + 1) * nbe], |r, acc| {
+                    qrow[r] -= acc;
+                });
             }
         }
         k0 += nbe;
@@ -531,6 +560,59 @@ mod tests {
         Matrix::from_fn(n, n, |i, j| {
             ((i * 13 + j * 7) % 11) as f64 * 0.37 - 1.5 + if i == j { 2.0 } else { 0.0 }
         })
+    }
+
+    /// The one-row-at-a-time loop each of the panel's row products ran
+    /// before [`row_dots`] interleaved four rows.
+    fn former_row_dots(
+        mat: &[f64],
+        stride: usize,
+        count: usize,
+        x: &[f64],
+        mut emit: impl FnMut(usize, f64),
+    ) {
+        for r in 0..count {
+            let row = &mat[r * stride..r * stride + x.len()];
+            let mut acc = 0.0;
+            for (al, xl) in row.iter().zip(x.iter()) {
+                acc += al * xl;
+            }
+            emit(r, acc);
+        }
+    }
+
+    #[test]
+    fn interleaved_row_dots_match_the_former_loop_bit_for_bit() {
+        let value = |k: usize, kind: usize| -> f64 {
+            let v = ((k * 7919 + kind * 104_729) % 1013) as f64 / 1013.0 - 0.5;
+            match (kind, k % 5) {
+                (1, 0 | 1) => 0.0,
+                (1, 2) => -0.0,
+                (2, _) if k % 97 == 13 => f64::INFINITY,
+                (2, _) if k % 89 == 7 => f64::NAN,
+                _ => v * 10f64.powi((k % 7) as i32 - 3),
+            }
+        };
+        for count in [
+            0usize, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 127, 128, 129, 200,
+        ] {
+            for len in [0usize, 1, 3, 4, 5, 31, 32, 33, 200] {
+                for kind in 0..3 {
+                    let stride = len + 3;
+                    let mat: Vec<f64> = (0..count * stride).map(|k| value(k, kind)).collect();
+                    let x: Vec<f64> = (0..len).map(|k| value(k + 50_000, kind)).collect();
+                    let (mut fast, mut former) = (vec![1.0; count], vec![1.0; count]);
+                    row_dots(&mat, stride, count, &x, |r, d| fast[r] -= d);
+                    former_row_dots(&mat, stride, count, &x, |r, d| former[r] -= d);
+                    for (r, (a, b)) in fast.iter().zip(&former).enumerate() {
+                        assert!(
+                            a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                            "count {count} len {len} kind {kind} row {r}: {a:e} vs {b:e}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

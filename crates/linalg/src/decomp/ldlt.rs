@@ -11,7 +11,7 @@
 //! comes out exactly symmetric.
 
 use crate::error::LinalgError;
-use crate::matrix::Matrix;
+use crate::matrix::{add_scaled_rows, Matrix};
 
 /// Bunch–Kaufman's pivoting constant `α = (1 + √17)/8`, which minimizes the
 /// bound on element growth.
@@ -32,7 +32,8 @@ pub struct Ldlt {
     pub perm: Vec<usize>,
     /// `true` when a pivot (a 1×1 block, or the smaller eigenvalue of a 2×2
     /// block) fell to `ε·n·max(1, ‖A‖max)` or below — the threshold
-    /// [`crate::decomp::lu::factor_into`] applies to its pivots.
+    /// [`crate::decomp::lu::factor_into`] applies to its pivots — or a 1×1
+    /// pivot is NaN.
     pub singular: bool,
 }
 
@@ -87,6 +88,17 @@ impl Ldlt {
                 operation: "ldlt::inverse",
             });
         }
+        crate::simd::wide(
+            #[inline(always)]
+            || self.inverse_body(x, scratch),
+        );
+        Ok(())
+    }
+
+    /// Body of [`Ldlt::inverse_into`] for a factorization with no flagged
+    /// pivot, run through [`crate::simd::wide`].
+    #[inline(always)]
+    pub(crate) fn inverse_body(&self, x: &mut Matrix, scratch: &mut Matrix) {
         let n = self.dim();
         scratch.resize_uninit(n, n);
         x.resize_uninit(n, n);
@@ -99,15 +111,11 @@ impl Ldlt {
                 let (head, rest) = md.split_at_mut(i * n);
                 let row_i = &mut rest[..n];
                 row_i.fill(0.0);
-                for k in 0..i {
-                    let f = ld[i * n + k];
-                    if f != 0.0 {
-                        let row_k = &head[k * n..k * n + k + 1];
-                        for (xi, &xk) in row_i[..=k].iter_mut().zip(row_k) {
-                            *xi += f * xk;
-                        }
-                    }
-                }
+                let terms = ld[i * n..i * n + i].iter().enumerate();
+                let terms = terms
+                    .filter(|(_, &f)| f != 0.0)
+                    .map(|(k, &f)| (f, k * n, k + 1));
+                add_scaled_rows(row_i, head, terms);
                 for xi in row_i[..i].iter_mut() {
                     *xi = -*xi;
                 }
@@ -166,14 +174,11 @@ impl Ldlt {
             for i in 0..n {
                 let (lower, upper) = xd[i * n..(i + 1) * n].split_at_mut(i + 1);
                 lower.copy_from_slice(&wd[i * n..=i * n + i]);
-                for (k, &f) in ((i + 1)..n).zip(upper.iter()) {
-                    if f != 0.0 {
-                        let row_k = &wd[k * n..=k * n + i];
-                        for (xi, &wk) in lower.iter_mut().zip(row_k) {
-                            *xi += f * wk;
-                        }
-                    }
-                }
+                let terms = ((i + 1)..n).zip(upper.iter());
+                let terms = terms
+                    .filter(|(_, &f)| f != 0.0)
+                    .map(|(k, &f)| (f, k * n, i + 1));
+                add_scaled_rows(lower, wd, terms);
             }
         }
         // A⁻¹[perm[i]][perm[j]] = X[i][j]: scatter the lower triangle into
@@ -192,7 +197,6 @@ impl Ldlt {
             }
         }
         std::mem::swap(x, scratch);
-        Ok(())
     }
 }
 
@@ -215,6 +219,17 @@ pub fn factor_into(a: &Matrix, f: &mut Ldlt) -> Result<(), LinalgError> {
             shape: a.shape(),
         });
     }
+    crate::simd::wide(
+        #[inline(always)]
+        || factor_body(a, f),
+    );
+    Ok(())
+}
+
+/// Body of [`factor_into`] for a square `a`, run through
+/// [`crate::simd::wide`].
+#[inline(always)]
+pub(crate) fn factor_body(a: &Matrix, f: &mut Ldlt) {
     let n = a.rows();
     f.l.copy_from(a);
     f.d.clear();
@@ -238,7 +253,9 @@ pub fn factor_into(a: &Matrix, f: &mut Ldlt) -> Result<(), LinalgError> {
                 imax = i;
             }
         }
-        let (kp, step) = if absakk >= ALPHA * colmax {
+        // A NaN diagonal entry is a 1×1 pivot, flagged below, as in LAPACK's
+        // `dsytf2`: the 2×2 branch would pair it with a row past the end.
+        let (kp, step) = if absakk >= ALPHA * colmax || absakk.is_nan() {
             (k, 1)
         } else {
             // Largest off-diagonal entry of row/column imax in the trailing
@@ -265,7 +282,7 @@ pub fn factor_into(a: &Matrix, f: &mut Ldlt) -> Result<(), LinalgError> {
         if step == 1 {
             let pivot = ld[k * n + k];
             f.d[k] = pivot;
-            if pivot.abs() <= tol {
+            if pivot.abs() <= tol || pivot.is_nan() {
                 f.singular = true;
                 k += 1;
                 continue;
@@ -329,7 +346,6 @@ pub fn factor_into(a: &Matrix, f: &mut Ldlt) -> Result<(), LinalgError> {
             k += 2;
         }
     }
-    Ok(())
 }
 
 /// Computes the Bunch–Kaufman factorization of the symmetric matrix `a`.
@@ -447,6 +463,18 @@ mod tests {
         let lu = crate::decomp::lu::factor(&a).unwrap();
         let f = factor(&a).unwrap();
         assert!((f.log_abs_det() - lu.log_abs_det()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn nan_pivot_is_flagged() {
+        // A NaN diagonal entry in the last column used to take the 2×2
+        // branch and index past the matrix.
+        for a in [
+            Matrix::from_rows(&[&[1.0, 0.5], &[0.5, f64::NAN]]),
+            Matrix::from_rows(&[&[f64::NAN]]),
+        ] {
+            assert!(factor(&a).unwrap().singular);
+        }
     }
 
     #[test]

@@ -33,39 +33,25 @@ pub fn real_schur(a: &Matrix) -> Result<RealSchur, LinalgError> {
     Ok(RealSchur { q, t })
 }
 
-/// Computes only the quasi-triangular factor `T` of the real Schur
-/// decomposition, skipping every update of the orthogonal factor `Q` (the
-/// Hessenberg-Q accumulation and all Q rotations in the Francis sweeps).
-///
-/// The `T` iterates never read `Q`, so this returns exactly the `T` of
-/// [`real_schur`] — bit for bit — at roughly two thirds of the flops.  This is
-/// the path behind [`crate::eigen::eigenvalues`], which only needs the
-/// diagonal blocks.
-///
-/// # Errors
-///
-/// Same as [`real_schur`].
-pub fn real_schur_t_only(a: &Matrix) -> Result<Matrix, LinalgError> {
-    let mut t = a.clone();
-    crate::workspace::with_thread_pool(|pool| {
-        let ws = pool.get(a.rows());
-        real_schur_in(&mut t, None, &mut ws.refl)
-    })?;
-    Ok(t)
-}
-
 /// In-place real Schur iteration: overwrites `h` with the quasi-triangular
 /// factor and, when `q` is provided, overwrites `q` with the accumulated
 /// orthogonal factor (any buffer can be passed; it is reset to the identity).
 /// `scratch` holds the reusable reflector buffers (see
 /// [`hessenberg::reduce_in`]).
 ///
+/// With `q = None` only the eigenvalues are computed (LAPACK's
+/// `WANTT = false`): each Francis sweep updates just the active diagonal
+/// block, whose reflectors stop at its last column from the left and start
+/// at its first row from the right.  The diagonal 1×1 and 2×2 blocks of `h`,
+/// and with them the eigenvalues, are bit for bit those of the full
+/// decomposition; the entries above them are not the full `T`'s.
+///
 /// # Errors
 ///
 /// Same as [`real_schur`].
 pub fn real_schur_in(
     h: &mut Matrix,
-    mut q: Option<&mut Matrix>,
+    q: Option<&mut Matrix>,
     scratch: &mut crate::workspace::ReflectorScratch,
 ) -> Result<(), LinalgError> {
     if !h.is_square() {
@@ -74,6 +60,20 @@ pub fn real_schur_in(
             shape: h.shape(),
         });
     }
+    crate::simd::wide(
+        #[inline(always)]
+        || real_schur_body(h, q, scratch),
+    )
+}
+
+/// Body of [`real_schur_in`] for a square `h`, run through
+/// [`crate::simd::wide`].
+#[inline(always)]
+pub(crate) fn real_schur_body(
+    h: &mut Matrix,
+    mut q: Option<&mut Matrix>,
+    scratch: &mut crate::workspace::ReflectorScratch,
+) -> Result<(), LinalgError> {
     let n = h.rows();
     if n == 0 {
         if let Some(q) = q {
@@ -161,6 +161,10 @@ pub fn real_schur_in(
         let mut y = h21 * (h11 + h22 - s);
         let mut z = h21 * h32;
 
+        // Without Q only the active block [lo, hi] is updated: the
+        // eigenvalues never read the rows above it or the columns right of it.
+        let (row_lo, col_end) = if q.is_some() { (0, n) } else { (lo, hi + 1) };
+
         // Bulge chasing.
         for k in lo..=(hi - 2) {
             let (v, beta) = householder3(x, y, z);
@@ -172,7 +176,7 @@ pub fn real_schur_in(
                     let (head, tail) = hd.split_at_mut((k + 1) * n);
                     let r0 = &mut head[k * n..];
                     let (r1, r2) = tail.split_at_mut(n);
-                    for j in col_start..n {
+                    for j in col_start..col_end {
                         let dot = v[0] * r0[j] + v[1] * r1[j] + v[2] * r2[j];
                         let sfac = beta * dot;
                         r0[j] -= sfac * v[0];
@@ -182,7 +186,7 @@ pub fn real_schur_in(
                 }
                 // Apply P from the right to columns k..k+2.
                 let row_end = (k + 3).min(hi);
-                for row in hd.chunks_exact_mut(n).take(row_end + 1) {
+                for row in hd[row_lo * n..(row_end + 1) * n].chunks_exact_mut(n) {
                     let dot = v[0] * row[k] + v[1] * row[k + 1] + v[2] * row[k + 2];
                     let sfac = beta * dot;
                     row[k] -= sfac * v[0];
@@ -218,14 +222,14 @@ pub fn real_schur_in(
                 let (head, tail) = hd.split_at_mut((k + 1) * n);
                 let r0 = &mut head[k * n..];
                 let r1 = &mut tail[..n];
-                for j in (hi - 2)..n {
+                for j in (hi - 2)..col_end {
                     let dot = v[0] * r0[j] + v[1] * r1[j];
                     let sfac = beta * dot;
                     r0[j] -= sfac * v[0];
                     r1[j] -= sfac * v[1];
                 }
             }
-            for row in hd.chunks_exact_mut(n).take(hi + 1) {
+            for row in hd[row_lo * n..(hi + 1) * n].chunks_exact_mut(n) {
                 let dot = v[0] * row[k] + v[1] * row[k + 1];
                 let sfac = beta * dot;
                 row[k] -= sfac * v[0];

@@ -30,9 +30,11 @@ pub fn eigenvalues(a: &Matrix) -> Result<Vec<Complex>, LinalgError> {
 
 /// Computes all eigenvalues of `a` using caller-provided scratch buffers.
 ///
-/// Runs the Q-free Schur iteration ([`schur::real_schur_t_only`]) entirely
-/// inside the workspace: the only allocation is the returned vector (use
-/// [`eigenvalues_into`] to avoid even that).
+/// Runs the eigenvalues-only Schur iteration ([`schur::real_schur_in`] with
+/// `q = None`) entirely inside the workspace: the only allocation is the
+/// returned vector (use [`eigenvalues_into`] to avoid even that).  The
+/// eigenvalues are bit for bit those [`eigenvalues_from_schur`] reads off the
+/// full decomposition's `T`.
 ///
 /// # Errors
 ///

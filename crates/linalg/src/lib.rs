@@ -1,8 +1,10 @@
 //! # ds-linalg
 //!
 //! Dense numerical linear algebra substrate for the descriptor-system passivity
-//! suite.  Everything is implemented from scratch in safe Rust on top of a single
-//! row-major [`Matrix`] type: no BLAS/LAPACK bindings are used.
+//! suite.  Everything is implemented from scratch in Rust on top of a single
+//! row-major [`Matrix`] type: no BLAS/LAPACK bindings are used.  The one
+//! `unsafe` block is [`simd::wide`]'s call into its AVX2 instance, made after
+//! the CPU has reported the feature.
 //!
 //! The crate provides exactly the kernels the DAC 2006 passivity test needs:
 //!
@@ -18,7 +20,9 @@
 //! * reusable per-dimension scratch buffers for the eigen/sign hot path
 //!   ([`workspace`]): the `_in` kernel variants run with zero heap allocation
 //!   in steady state, and the classic entry points route their scratch
-//!   through a per-thread [`workspace::WorkspacePool`] automatically.
+//!   through a per-thread [`workspace::WorkspacePool`] automatically,
+//! * one runtime dispatch of the dense kernels to an AVX2 instance that
+//!   returns the same bits ([`simd`]).
 //!
 //! # Example
 //!
@@ -34,7 +38,7 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod decomp;
@@ -45,6 +49,7 @@ pub mod matrix;
 pub mod pinv;
 pub mod scalar;
 pub mod sign;
+pub mod simd;
 pub mod sparse;
 pub mod subspace;
 pub mod workspace;

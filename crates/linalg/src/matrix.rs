@@ -489,27 +489,11 @@ impl Matrix {
                 right: rhs.shape(),
             });
         }
-        let (m, n, p) = (self.rows, self.cols, rhs.cols);
-        out.resize_uninit(m, p);
-        out.data.fill(0.0);
-        let mut k0 = 0;
-        while k0 < n {
-            let k1 = (k0 + MATMUL_BLOCK).min(n);
-            for i in 0..m {
-                let row_a = &self.data[i * n..(i + 1) * n];
-                let row_out = &mut out.data[i * p..(i + 1) * p];
-                for (k, &aik) in row_a.iter().enumerate().take(k1).skip(k0) {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let row_rhs = &rhs.data[k * p..(k + 1) * p];
-                    for (o, &r) in row_out.iter_mut().zip(row_rhs.iter()) {
-                        *o += aik * r;
-                    }
-                }
-            }
-            k0 = k1;
-        }
+        out.resize_uninit(self.rows, rhs.cols);
+        crate::simd::wide(
+            #[inline(always)]
+            || matmul_body(self, rhs, out),
+        );
         Ok(())
     }
 
@@ -538,30 +522,11 @@ impl Matrix {
                 right: rhs.shape(),
             });
         }
-        let (m, n, p) = (self.rows, self.cols, rhs.cols);
-        out.resize_uninit(n, p);
-        out.data.fill(0.0);
-        // Block over the output rows: the resident output band accumulates the
-        // full ascending-`k` sweep before moving on, which keeps the additions
-        // in the exact order of the unblocked kernel.
-        let mut i0 = 0;
-        while i0 < n {
-            let i1 = (i0 + MATMUL_BLOCK).min(n);
-            for k in 0..m {
-                let row_a = &self.data[k * n..(k + 1) * n];
-                let row_rhs = &rhs.data[k * p..(k + 1) * p];
-                for (i, &aki) in row_a.iter().enumerate().take(i1).skip(i0) {
-                    if aki == 0.0 {
-                        continue;
-                    }
-                    let row_out = &mut out.data[i * p..(i + 1) * p];
-                    for (o, &r) in row_out.iter_mut().zip(row_rhs.iter()) {
-                        *o += aki * r;
-                    }
-                }
-            }
-            i0 = i1;
-        }
+        out.resize_uninit(self.cols, rhs.cols);
+        crate::simd::wide(
+            #[inline(always)]
+            || transpose_matmul_body(self, rhs, out),
+        );
         Ok(())
     }
 
@@ -751,6 +716,104 @@ impl Matrix {
             .zip(rhs.data.iter())
             .map(|(a, b)| a * b)
             .sum())
+    }
+}
+
+/// Body of [`Matrix::matmul_into`] (`out` already shaped `a.rows × b.cols`),
+/// run through [`crate::simd::wide`].
+#[inline(always)]
+pub(crate) fn matmul_body(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    let (m, n, p) = (a.rows, a.cols, b.cols);
+    out.data.fill(0.0);
+    let mut k0 = 0;
+    while k0 < n {
+        let k1 = (k0 + MATMUL_BLOCK).min(n);
+        for i in 0..m {
+            let band = a.data[i * n + k0..i * n + k1].iter().zip(k0..);
+            let terms = band
+                .filter(|(&aik, _)| aik != 0.0)
+                .map(|(&aik, k)| (aik, k * p, p));
+            add_scaled_rows(&mut out.data[i * p..(i + 1) * p], &b.data, terms);
+        }
+        k0 = k1;
+    }
+}
+
+/// Body of [`Matrix::transpose_matmul_into`] (`out` already shaped
+/// `a.cols × b.cols`), run through [`crate::simd::wide`].
+#[inline(always)]
+pub(crate) fn transpose_matmul_body(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    let (m, n, p) = (a.rows, a.cols, b.cols);
+    out.data.fill(0.0);
+    // Block over the output rows: the resident output band accumulates the
+    // full ascending-`k` sweep, four rows of `b` at a time, before moving on,
+    // which keeps the additions in the exact order of the unblocked kernel.
+    let mut i0 = 0;
+    while i0 < n {
+        let i1 = (i0 + MATMUL_BLOCK).min(n);
+        let mut k0 = 0;
+        while k0 < m {
+            let k1 = (k0 + 4).min(m);
+            for i in i0..i1 {
+                let terms = (k0..k1)
+                    .map(|k| (a.data[k * n + i], k * p, p))
+                    .filter(|&(aki, _, _)| aki != 0.0);
+                add_scaled_rows(&mut out.data[i * p..(i + 1) * p], &b.data, terms);
+            }
+            k0 = k1;
+        }
+        i0 = i1;
+    }
+}
+
+/// `out[..len] += c·src[start..][..len]` for each `(c, start, len)` of
+/// `terms`, in order; `len` must not decrease from term to term.
+///
+/// Four terms share one pass over `out`, each element still adding the
+/// terms that reach it one at a time in order, so the bits are those of one
+/// pass per term with a quarter of the loads and stores of `out`.
+#[inline(always)]
+pub(crate) fn add_scaled_rows(
+    out: &mut [f64],
+    src: &[f64],
+    terms: impl IntoIterator<Item = (f64, usize, usize)>,
+) {
+    let mut quad = [(0.0, 0, 0); 4];
+    let mut len = 0;
+    for term in terms {
+        quad[len] = term;
+        len += 1;
+        if len < 4 {
+            continue;
+        }
+        len = 0;
+        let [(c0, s0, l0), (c1, s1, l1), (c2, s2, l2), (c3, s3, l3)] = quad;
+        let (r0, r1, r2, r3) = (
+            &src[s0..][..l0],
+            &src[s1..][..l1],
+            &src[s2..][..l2],
+            &src[s3..][..l3],
+        );
+        {
+            let (o, r0, r1, r2, r3) = (&mut out[..l0], &r0[..l0], &r1[..l0], &r2[..l0], &r3[..l0]);
+            for j in 0..l0 {
+                o[j] = o[j] + c0 * r0[j] + c1 * r1[j] + c2 * r2[j] + c3 * r3[j];
+            }
+        }
+        for j in l0..l1 {
+            out[j] = out[j] + c1 * r1[j] + c2 * r2[j] + c3 * r3[j];
+        }
+        for j in l1..l2 {
+            out[j] = out[j] + c2 * r2[j] + c3 * r3[j];
+        }
+        for j in l2..l3 {
+            out[j] += c3 * r3[j];
+        }
+    }
+    for &(c, start, l) in &quad[..len] {
+        for (o, &r) in out[..l].iter_mut().zip(&src[start..][..l]) {
+            *o += c * r;
+        }
     }
 }
 
@@ -1043,38 +1106,100 @@ mod tests {
     #[test]
     fn blocked_matmul_is_bitwise_identical_to_reference() {
         // Reference kernel: the plain i-k-j row-slice loop the blocked kernel
-        // must reproduce bit for bit (same per-element addition order).
+        // must reproduce bit for bit (same per-element addition order, same
+        // skipped zeros), on dense input, input with exact zeros of either
+        // sign, and input with an infinity and a NaN.
         let n = 70; // larger than one block so the blocking actually kicks in
-        let a = Matrix::from_fn(n, n, |i, j| ((i * 31 + j * 17) % 23) as f64 / 7.0 - 1.5);
-        let b = Matrix::from_fn(n, n, |i, j| ((i * 13 + j * 29) % 19) as f64 / 5.0 - 1.8);
-        let mut reference = Matrix::zeros(n, n);
-        for i in 0..n {
-            for k in 0..n {
-                let aik = a[(i, k)];
-                if aik == 0.0 {
-                    continue;
+        for kind in 0..3 {
+            let entry = |i: usize, j: usize, salt: usize| -> f64 {
+                let v = ((i * 31 + j * 17 + salt) % 23) as f64 / 7.0 - 1.5;
+                match (kind, (i * 7 + j * 3 + salt) % 5) {
+                    (1, 0 | 1) => 0.0,
+                    (1, 2) => -0.0,
+                    (2, _) if (i, j) == (40, 3 + salt % 2) => f64::NAN,
+                    (2, _) if (i, j) == (5, 60 + salt % 2) => f64::INFINITY,
+                    _ => v,
                 }
-                for j in 0..n {
-                    reference[(i, j)] += aik * b[(k, j)];
-                }
-            }
-        }
-        let fast = a.matmul(&b).unwrap();
-        assert_eq!(fast.as_slice(), reference.as_slice());
-        let mut tref = Matrix::zeros(n, n);
-        for k in 0..n {
+            };
+            let a = Matrix::from_fn(n, n, |i, j| entry(i, j, 0));
+            let b = Matrix::from_fn(n, n + 3, |i, j| entry(i, j, 1));
+            let mut reference = Matrix::zeros(n, n + 3);
             for i in 0..n {
-                let aki = a[(k, i)];
-                if aki == 0.0 {
-                    continue;
-                }
-                for j in 0..n {
-                    tref[(i, j)] += aki * b[(k, j)];
+                for k in 0..n {
+                    let aik = a[(i, k)];
+                    if aik == 0.0 {
+                        continue;
+                    }
+                    for j in 0..n + 3 {
+                        reference[(i, j)] += aik * b[(k, j)];
+                    }
                 }
             }
+            let fast = a.matmul(&b).unwrap();
+            assert_same_bits(fast.as_slice(), reference.as_slice());
+            let mut tref = Matrix::zeros(n, n + 3);
+            for k in 0..n {
+                for i in 0..n {
+                    let aki = a[(k, i)];
+                    if aki == 0.0 {
+                        continue;
+                    }
+                    for j in 0..n + 3 {
+                        tref[(i, j)] += aki * b[(k, j)];
+                    }
+                }
+            }
+            let tfast = a.transpose_matmul(&b).unwrap();
+            assert_same_bits(tfast.as_slice(), tref.as_slice());
         }
-        let tfast = a.transpose_matmul(&b).unwrap();
-        assert_eq!(tfast.as_slice(), tref.as_slice());
+    }
+
+    #[test]
+    fn scaled_rows_match_one_pass_per_term_bit_for_bit() {
+        // The loop `add_scaled_rows` replaced: one pass over `out[..len]` per
+        // term.  Rows of equal length (the matmul kernels), and rows of a
+        // lower triangle with gaps between them (the LDLᵀ inverse), on data
+        // with zeros of either sign, an infinity and a NaN.
+        let n = 41;
+        let mut src = Matrix::from_fn(n, n, |i, j| match (i * 7 + j * 3) % 11 {
+            0 => 0.0,
+            1 => -0.0,
+            v => (v as f64 - 5.5) * 10f64.powi((i % 5) as i32 - 2),
+        });
+        src[(30, 4)] = f64::NAN;
+        src[(12, 2)] = f64::INFINITY;
+        for count in 0..=9 {
+            for triangle in [false, true] {
+                // Ascending rows with gaps, coefficients of either sign.
+                let terms: Vec<(f64, usize, usize)> = (0..count)
+                    .map(|t| {
+                        let k = 2 + t * 4 + t % 3;
+                        let len = if triangle { k + 1 } else { n };
+                        (0.75 - 0.4 * t as f64, k * n, len)
+                    })
+                    .collect();
+                let mut fast = vec![1.5; n];
+                add_scaled_rows(&mut fast, src.as_slice(), terms.iter().copied());
+                let mut former = vec![1.5; n];
+                for &(c, start, len) in &terms {
+                    for (o, &r) in former[..len].iter_mut().zip(&src.as_slice()[start..]) {
+                        *o += c * r;
+                    }
+                }
+                assert_same_bits(&fast, &former);
+            }
+        }
+    }
+
+    /// Bit equality, except that any two NaNs match.
+    fn assert_same_bits(x: &[f64], y: &[f64]) {
+        assert_eq!(x.len(), y.len());
+        for (k, (a, b)) in x.iter().zip(y).enumerate() {
+            assert!(
+                a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                "entry {k}: {a:e} vs {b:e}"
+            );
+        }
     }
 
     #[test]

@@ -18,8 +18,10 @@ pub const DEP_CYCLE: &str = "dep-cycle";
 pub const README_CRATE_MAP: &str = "readme-crate-map";
 
 /// Crates allowed to contain `unsafe` (they must still `#![deny(unsafe_code)]`
-/// at the root and scope each block with `#[allow(unsafe_code)]` + `// SAFETY:`).
-pub const UNSAFE_ALLOWLIST: &[&str] = &["ds-serve"];
+/// at the root and scope each block with `#[allow(unsafe_code)]` + `// SAFETY:`):
+/// `ds-serve` for its `signal(2)` registration, `ds-linalg` for the call into
+/// its AVX2 kernel instance after the CPU feature check.
+pub const UNSAFE_ALLOWLIST: &[&str] = &["ds-serve", "ds-linalg"];
 
 /// One workspace member, as discovered from the root manifest.
 #[derive(Debug, Clone)]

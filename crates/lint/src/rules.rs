@@ -222,7 +222,8 @@ fn finding(rule: &'static str, file: &FileSource, tok: &Tok, message: String) ->
 }
 
 /// `hot-path-alloc`: inside the body of any function whose name ends in
-/// `_in` / `_into`, the allocating constructs that
+/// `_in` / `_into`, or `_body` (the kernel bodies those entry points run
+/// through `ds_linalg::simd::wide`), the allocating constructs that
 /// `tests/alloc_regression.rs` polices dynamically are forbidden statically.
 fn hot_path_alloc(file: &FileSource, toks: &[Tok], out: &mut Vec<Finding>) {
     let mut i = 0;
@@ -231,7 +232,9 @@ fn hot_path_alloc(file: &FileSource, toks: &[Tok], out: &mut Vec<Finding>) {
             if let Some(name_tok) = toks.get(i + 1) {
                 let name = name_tok.text.as_str();
                 if name_tok.kind == TokKind::Ident
-                    && (name.ends_with("_in") || name.ends_with("_into"))
+                    && ["_in", "_into", "_body"]
+                        .iter()
+                        .any(|end| name.ends_with(end))
                 {
                     if let Some((body_start, body_end)) = body_span(toks, i + 2) {
                         scan_alloc(file, &toks[body_start..body_end], name, out);
@@ -494,11 +497,12 @@ mod tests {
 
     #[test]
     fn hot_path_alloc_only_fires_in_linalg_kernel_functions() {
-        let src = "pub fn solve_in(a: &Matrix) -> f64 { let v = Vec::new(); 0.0 }\npub fn solve(a: &Matrix) -> f64 { let v = Vec::new(); 0.0 }\n";
+        let src = "pub fn solve_in(a: &Matrix) -> f64 { let v = Vec::new(); 0.0 }\npub fn solve(a: &Matrix) -> f64 { let v = Vec::new(); 0.0 }\nfn solve_body(a: &Matrix) { let v = a.clone(); }\n";
         let in_linalg = check_file(&file("crates/linalg/src/solve.rs", "ds-linalg", src));
-        assert_eq!(in_linalg.len(), 1, "got {in_linalg:?}");
-        assert_eq!(in_linalg[0].rule, HOT_PATH_ALLOC);
+        assert_eq!(in_linalg.len(), 2, "got {in_linalg:?}");
+        assert!(in_linalg.iter().all(|f| f.rule == HOT_PATH_ALLOC));
         assert_eq!(in_linalg[0].line, 1);
+        assert_eq!(in_linalg[1].line, 3);
         let elsewhere = check_file(&file("crates/core/src/solve.rs", "ds-passivity", src));
         assert!(elsewhere.is_empty());
     }

@@ -10,18 +10,14 @@ use ds_linalg::{subspace, Matrix};
 /// extraction.
 #[derive(Debug, Clone)]
 pub struct HamiltonianSplit {
-    /// Orthonormal, isotropic basis `[X₁; X₂]` (`2n x n`) of the stable
-    /// invariant subspace.
+    /// Orthonormal, isotropic basis `U = [X₁; X₂]` (`2n x n`) of the stable
+    /// invariant subspace; `Z₁ = [U, −JU]` is orthogonal symplectic.
     pub stable_basis: Matrix,
-    /// The orthogonal-symplectic matrix `Z₁ = [U, −JU]` whose leading `n`
-    /// columns are the stable basis.
-    pub z1: Matrix,
-    /// The stable block `Ã = X* A₄₄ X` (restriction of the Hamiltonian matrix
+    /// The stable block `Ã = Uᵀ A₄₄ U` (restriction of the Hamiltonian matrix
     /// to its stable invariant subspace).
     pub stable_block: Matrix,
-    /// The coupling block `Γ` in `Z₁ᵀ A₄₄ Z₁ = [[Ã, Γ], [0, −Ãᵀ]]`.
-    pub coupling_block: Matrix,
-    /// The decoupling matrix `Y` solving `Ã Y + Y Ãᵀ + Γ = 0`, read off the
+    /// The decoupling matrix `Y` solving `Ã Y + Y Ãᵀ + Γ = 0` for the
+    /// coupling block `Γ` in `Z₁ᵀ A₄₄ Z₁ = [[Ã, Γ], [0, −Ãᵀ]]`, read off the
     /// converged sign function via Roberts' identity
     /// `Z₁ᵀ sign(A₄₄) Z₁ = [[−I, 2Y], [0, I]]` — no Lyapunov solve required.
     pub decoupling: Matrix,
@@ -103,16 +99,12 @@ pub fn hamiltonian_split(a: &Matrix, tol: f64) -> Result<HamiltonianSplit, ShhEr
              the matrix may be too far from Hamiltonian structure"
         )));
     }
-    // Z1 = [U, −J U] is orthogonal symplectic. Of Z₁ᵀ A Z₁ only the top block
-    // row [Ã, Γ] = Uᵀ·A·Z₁ and the lower-left invariance residual
-    // (−JU)ᵀ·A·U are consumed — the lower-right block is −Ãᵀ by Hamiltonian
-    // structure — so the full (2n)×(2n) congruence is never formed.
-    let z1 = Matrix::hstack(&[&u, &ju.scale(-1.0)]);
-    let az1 = a.matmul(&z1)?;
-    let top = u.transpose_matmul(&az1)?;
-    let stable_block = top.block(0, n, 0, n);
-    let coupling_block = top.block(0, n, n, 2 * n);
-    let au = az1.block(0, 2 * n, 0, n);
+    // Z1 = [U, −J U] is orthogonal symplectic. Of Z₁ᵀ A Z₁ only Ã = Uᵀ·A·U
+    // and the lower-left invariance residual (−JU)ᵀ·A·U are consumed — Γ
+    // only through Y, the lower-right block is −Ãᵀ by Hamiltonian
+    // structure — so neither Z₁ nor the full (2n)×(2n) congruence is formed.
+    let au = a.matmul(&u)?;
+    let stable_block = u.transpose_matmul(&au)?;
     let lower_left = ju.transpose_matmul(&au)?.norm_max();
     if lower_left > 1e-6 * scale {
         return Err(ShhError::structure(format!(
@@ -127,9 +119,7 @@ pub fn hamiltonian_split(a: &Matrix, tol: f64) -> Result<HamiltonianSplit, ShhEr
     let decoupling = u.transpose_matmul(&sign_ju)?.scale(-0.5);
     Ok(HamiltonianSplit {
         stable_basis: u,
-        z1,
         stable_block,
-        coupling_block,
         decoupling,
     })
 }
@@ -156,6 +146,12 @@ mod tests {
     use crate::structure::{hamiltonian_from_blocks, is_orthogonal_symplectic};
     use ds_linalg::eigen;
 
+    /// `Z₁ = [U, −JU]`.
+    fn z1(split: &HamiltonianSplit) -> Matrix {
+        let u = &split.stable_basis;
+        Matrix::hstack(&[u, &structure::j_mul(u).unwrap().scale(-1.0)])
+    }
+
     fn stable_hamiltonian(n: usize, seed: usize) -> Matrix {
         // A Hamiltonian matrix built from a Hurwitz A, PSD G and PSD Q has no
         // imaginary-axis eigenvalues when (A, G, Q) is "regular enough"; use a
@@ -179,7 +175,7 @@ mod tests {
         let h = stable_hamiltonian(2, 1);
         let split = hamiltonian_split(&h, 1e-9).unwrap();
         assert_eq!(split.stable_basis.cols(), 2);
-        assert!(is_orthogonal_symplectic(&split.z1, 1e-8).unwrap());
+        assert!(is_orthogonal_symplectic(&z1(&split), 1e-8).unwrap());
         // Stable block is Hurwitz.
         assert!(eigen::is_hurwitz(&split.stable_block, 1e-10).unwrap());
         // Invariance of the subspace.
@@ -190,7 +186,8 @@ mod tests {
     fn block_triangular_form() {
         let h = stable_hamiltonian(4, 3);
         let split = hamiltonian_split(&h, 1e-9).unwrap();
-        let t = &split.z1.transpose_matmul(&h).unwrap() * &split.z1;
+        let z1 = z1(&split);
+        let t = &z1.transpose_matmul(&h).unwrap() * &z1;
         let n = 4;
         // Lower-left block vanishes.
         assert!(t.block(n, 2 * n, 0, n).norm_max() < 1e-7 * h.norm_fro());

@@ -1,38 +1,27 @@
-//! Q-free Schur path conformance: `real_schur_t_only` (and the pooled
-//! `eigen::eigenvalues` built on it) must produce exactly the eigenvalues of
-//! the full `real_schur` decomposition.  The Q updates never feed back into
-//! the `T` iterates, so the agreement is required to be *bit-for-bit*, not
-//! merely within tolerance — any drift between the two paths is a bug.
+//! Eigenvalues-only Schur path conformance: `eigen::eigenvalues` (and the
+//! pooled `eigen::eigenvalues_in`) run the Francis sweeps without `Q` and
+//! update only the active diagonal block, yet must produce exactly the
+//! eigenvalues `eigen::eigenvalues_from_schur` reads off the full
+//! `real_schur` decomposition's `T`.  The skipped updates never feed back into
+//! the diagonal blocks, so the agreement is required to be *bit-for-bit*, in
+//! the same order, not merely within tolerance — any drift between the two
+//! paths is a bug.
 
 use ds_linalg::decomp::hessenberg::BLOCKED_MIN_DIM;
-use ds_linalg::decomp::schur::{real_schur, real_schur_t_only};
+use ds_linalg::decomp::schur::real_schur;
 use ds_linalg::eigen;
 use ds_linalg::workspace::WorkspacePool;
 use ds_linalg::{Complex, Matrix};
 use proptest::prelude::*;
 
-/// Sorts eigenvalues by (re, im) bit patterns for a stable pairing.
-fn sorted(mut eigs: Vec<Complex>) -> Vec<Complex> {
-    eigs.sort_by(|a, b| {
-        a.re.partial_cmp(&b.re)
-            .unwrap()
-            .then(a.im.partial_cmp(&b.im).unwrap())
-    });
-    eigs
+/// The eigenvalues of the full decomposition's `T`.
+fn from_full_schur(a: &Matrix) -> Result<Vec<Complex>, ds_linalg::LinalgError> {
+    Ok(eigen::eigenvalues_from_schur(&real_schur(a)?.t))
 }
 
-fn assert_paths_agree(a: &Matrix) {
-    let full = real_schur(a).unwrap();
-    let t_only = real_schur_t_only(a).unwrap();
-    assert_eq!(
-        t_only.as_slice(),
-        full.t.as_slice(),
-        "T factors differ between the Q-free and full Schur paths"
-    );
-    let from_full = sorted(eigen::eigenvalues_from_schur(&full.t));
-    let from_t = sorted(eigen::eigenvalues(a).unwrap());
-    assert_eq!(from_full.len(), from_t.len());
-    for (x, y) in from_full.iter().zip(from_t.iter()) {
+fn assert_bitwise_equal(expected: &[Complex], actual: &[Complex]) {
+    assert_eq!(expected.len(), actual.len());
+    for (x, y) in expected.iter().zip(actual) {
         assert_eq!(
             x.re.to_bits(),
             y.re.to_bits(),
@@ -48,15 +37,17 @@ fn assert_paths_agree(a: &Matrix) {
             y.im
         );
     }
+}
+
+fn assert_paths_agree(a: &Matrix) {
+    let from_full = from_full_schur(a).unwrap();
+    assert_bitwise_equal(&from_full, &eigen::eigenvalues(a).unwrap());
     // The explicit-workspace kernel must agree as well (and keep agreeing when
     // the workspace is reused across calls).
     let mut pool = WorkspacePool::new();
     for _ in 0..2 {
-        let pooled = sorted(eigen::eigenvalues_in(a, pool.get(a.rows())).unwrap());
-        for (x, y) in from_full.iter().zip(pooled.iter()) {
-            assert_eq!(x.re.to_bits(), y.re.to_bits());
-            assert_eq!(x.im.to_bits(), y.im.to_bits());
-        }
+        let pooled = eigen::eigenvalues_in(a, pool.get(a.rows())).unwrap();
+        assert_bitwise_equal(&from_full, &pooled);
     }
 }
 
@@ -155,15 +146,19 @@ proptest! {
         });
         // Convergence is not guaranteed for adversarial random matrices at the
         // iteration cap, but both paths must agree on success *and* failure.
-        match (real_schur(&a), real_schur_t_only(&a)) {
-            (Ok(full), Ok(t_only)) => {
-                prop_assert_eq!(t_only.as_slice(), full.t.as_slice());
+        match (from_full_schur(&a), eigen::eigenvalues(&a)) {
+            (Ok(full), Ok(eigenvalues_only)) => {
+                prop_assert_eq!(full.len(), eigenvalues_only.len());
+                for (x, y) in full.iter().zip(&eigenvalues_only) {
+                    prop_assert_eq!(x.re.to_bits(), y.re.to_bits());
+                    prop_assert_eq!(x.im.to_bits(), y.im.to_bits());
+                }
             }
             (Err(_), Err(_)) => {}
-            (full, t_only) => {
+            (full, eigenvalues_only) => {
                 return Err(proptest::test_runner::TestCaseError::fail(format!(
-                    "paths diverged: full = {:?}, t_only = {:?}",
-                    full.map(|_| ()), t_only.map(|_| ())
+                    "paths diverged: full = {:?}, eigenvalues only = {:?}",
+                    full.map(|_| ()), eigenvalues_only.map(|_| ())
                 )));
             }
         }
