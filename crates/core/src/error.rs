@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn sources_preserved() {
-        let e: PassivityError = LinalgError::NotPositiveDefinite.into();
+        let e: PassivityError = LinalgError::Singular { operation: "lu" }.into();
         assert!(std::error::Error::source(&e).is_some());
         let s: PassivityError = ShhError::ImaginaryAxisEigenvalues.into();
         assert!(std::error::Error::source(&s).is_some());

@@ -10,10 +10,11 @@
 //!    `A₄₄ = Z_L A₃ Z_R` stays Hamiltonian (eq. (21)).
 //! 2. Split the spectrum of `A₄₄` into its stable / antistable halves with an
 //!    orthogonal-symplectic `Z₁` (eq. (22)).
-//! 3. Decouple the two halves with a Lyapunov solve (eq. (23)); the leading
-//!    block yields the stable proper part `G_p(s)` of the original transfer
-//!    function (up to an unobservable constant skew-symmetric offset, which
-//!    does not affect passivity).
+//! 3. Decouple the two halves (eq. (23)); the coupling `Y` of
+//!    `ÃY + YÃᵀ + Γ = 0` is read off the converged sign iterate, so no
+//!    Lyapunov solve runs.  The leading block yields the stable proper part
+//!    `G_p(s)` of the original transfer function (up to an unobservable
+//!    constant skew-symmetric offset, which does not affect passivity).
 
 use crate::error::PassivityError;
 use ds_descriptor::{DescriptorSystem, StateSpace};
@@ -152,7 +153,7 @@ pub fn zero_matrix(phi: &RegularizedPhi) -> Result<Matrix, LinalgError> {
 /// * [`PassivityError::Shh`] when `A₄₄` has eigenvalues on the imaginary axis
 ///   (finite poles of `Φ` on the axis — excluded by the paper's stability
 ///   assumption).
-/// * Propagates Lyapunov-solver failures.
+/// * Propagates the other failures of [`stable_subspace::hamiltonian_split`].
 pub fn extract_stable_part(
     phi: &RegularizedPhi,
     rel_tol: f64,

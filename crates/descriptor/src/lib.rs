@@ -48,7 +48,6 @@
 
 pub mod error;
 pub mod impulse;
-pub mod minreal;
 pub mod poles;
 pub mod system;
 pub mod transfer;

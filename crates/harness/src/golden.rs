@@ -126,7 +126,7 @@ fn lmi_in_golden(scenario: &Scenario) -> bool {
 }
 
 /// The golden task matrix: proposed + Weierstrass on every scenario, LMI on
-/// the small-order subset selected by [`lmi_in_golden`].
+/// the small-order subset selected by `lmi_in_golden`.
 pub fn golden_tasks() -> Vec<SweepTask> {
     let scenarios = golden_scenarios();
     let mut tasks = scenario_matrix(&scenarios, &[Method::Proposed, Method::Weierstrass]);

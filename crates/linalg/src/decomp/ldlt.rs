@@ -54,25 +54,6 @@ impl Ldlt {
         self.l.rows()
     }
 
-    /// Natural logarithm of `|det A|`, accumulated block by block.
-    pub fn log_abs_det(&self) -> f64 {
-        let n = self.dim();
-        let mut acc = 0.0f64;
-        let mut k = 0;
-        while k < n {
-            if self.e[k] != 0.0 {
-                acc += (self.d[k] * self.d[k + 1] - self.e[k] * self.e[k])
-                    .abs()
-                    .ln();
-                k += 2;
-            } else {
-                acc += self.d[k].abs().ln();
-                k += 1;
-            }
-        }
-        acc
-    }
-
     /// The exactly symmetric inverse `A⁻¹ = Pᵀ L⁻ᵀ D⁻¹ L⁻¹ P` into `x`, with
     /// `scratch` as an `n × n` work matrix (both are reshaped and fully
     /// overwritten; their buffers may trade places, so no allocation happens
@@ -450,19 +431,6 @@ mod tests {
             Err(LinalgError::Singular { .. })
         ));
         assert!(factor(&Matrix::zeros(3, 3)).unwrap().singular);
-    }
-
-    #[test]
-    fn log_abs_det_matches_lu() {
-        let a = Matrix::from_rows(&[
-            &[0.0, 1.0, 2.0, 0.5],
-            &[1.0, 0.0, 0.3, 1.0],
-            &[2.0, 0.3, -1.0, 0.0],
-            &[0.5, 1.0, 0.0, 0.1],
-        ]);
-        let lu = crate::decomp::lu::factor(&a).unwrap();
-        let f = factor(&a).unwrap();
-        assert!((f.log_abs_det() - lu.log_abs_det()).abs() < 1e-12);
     }
 
     #[test]

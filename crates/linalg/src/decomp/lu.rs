@@ -116,27 +116,13 @@ impl Lu {
     /// Computed as the raw product of the `U` diagonal, so the result
     /// over/underflows `f64` once `n · log₂(typical |u_ii|)` exceeds ±1024 —
     /// in practice a few hundred rows for matrices whose entries are not
-    /// close to unit scale. Callers that only need the *magnitude* of the
-    /// determinant (e.g. determinantal scaling) must use
-    /// [`Lu::log_abs_det`], which stays finite in exactly those regimes.
+    /// close to unit scale.
     pub fn det(&self) -> f64 {
         let mut d = self.perm_sign;
         for i in 0..self.dim() {
             d *= self.lu[(i, i)];
         }
         d
-    }
-
-    /// Natural logarithm of `|det A| = Σ ln|u_ii|`, accumulated in the log
-    /// domain so it neither overflows nor underflows where [`Lu::det`] does.
-    ///
-    /// Returns `-∞` when a diagonal entry is exactly zero (singular matrix).
-    pub fn log_abs_det(&self) -> f64 {
-        let mut acc = 0.0f64;
-        for i in 0..self.dim() {
-            acc += self.lu[(i, i)].abs().ln();
-        }
-        acc
     }
 
     /// Solves `A X = B` for `X` using the stored factorization.
@@ -403,17 +389,6 @@ pub fn det(a: &Matrix) -> Result<f64, LinalgError> {
     Ok(factor(a)?.det())
 }
 
-/// Solves `X A = B`, i.e. `X = B A⁻¹`, without forming the inverse.
-///
-/// # Errors
-///
-/// Propagates the errors of [`solve`].
-pub fn solve_transposed(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
-    // X A = B  ⇔  Aᵀ Xᵀ = Bᵀ
-    let xt = solve(&a.transpose(), &b.transpose())?;
-    Ok(xt.transpose())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -467,14 +442,6 @@ mod tests {
         let b = Matrix::from_rows(&[&[9.0, 1.0], &[8.0, 0.0]]);
         let x = solve(&a, &b).unwrap();
         assert!((&(&a * &x) - &b).norm_fro() < 1e-12);
-    }
-
-    #[test]
-    fn solve_transposed_right_division() {
-        let a = Matrix::from_rows(&[&[2.0, 0.5], &[-1.0, 3.0]]);
-        let b = Matrix::from_rows(&[&[1.0, 2.0], &[0.0, 1.0]]);
-        let x = solve_transposed(&a, &b).unwrap();
-        assert!((&(&x * &a) - &b).norm_fro() < 1e-12);
     }
 
     #[test]
@@ -539,19 +506,6 @@ mod tests {
             f.inverse_into_ws(&mut x, &mut scratch),
             Err(LinalgError::Singular { .. })
         ));
-    }
-
-    #[test]
-    fn log_abs_det_matches_det_in_safe_range() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0, 0.0], &[1.0, 3.0, 1.0], &[0.0, 1.0, 4.0]]);
-        let f = factor(&a).unwrap();
-        assert!((f.log_abs_det() - f.det().abs().ln()).abs() < 1e-12);
-        // 250 diagonal entries of 100 → det = 10^500 overflows f64, the log
-        // form does not.
-        let big = Matrix::identity(250).scale(100.0);
-        let f = factor(&big).unwrap();
-        assert!(!f.det().is_finite());
-        assert!((f.log_abs_det() - 250.0 * 100.0f64.ln()).abs() < 1e-8);
     }
 
     #[test]

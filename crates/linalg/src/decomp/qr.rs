@@ -1,4 +1,4 @@
-//! Householder QR factorization and least-squares solves.
+//! Householder QR factorization and column orthonormalization.
 //!
 //! Like the Hessenberg reduction, the full factorization has two kernels: a
 //! one-reflector-at-a-time sweep (bit-identical to the historical code) and a
@@ -8,7 +8,6 @@
 //! [`hessenberg::BLOCKED_MIN_DIM`] rows to the blocked kernel.
 
 use super::hessenberg;
-use crate::error::LinalgError;
 use crate::matrix::Matrix;
 
 /// The result of a Householder QR factorization `A = Q R`.
@@ -344,51 +343,6 @@ pub fn factor_thin(a: &Matrix) -> Qr {
     }
 }
 
-/// Solves the least-squares problem `min ||A x - b||₂` for full-column-rank `A`.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::ShapeMismatch`] when the row counts differ and
-/// [`LinalgError::Singular`] when `A` is (numerically) rank deficient.
-pub fn least_squares(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
-    let (m, n) = a.shape();
-    if b.rows() != m {
-        return Err(LinalgError::ShapeMismatch {
-            operation: "qr::least_squares",
-            left: a.shape(),
-            right: b.shape(),
-        });
-    }
-    if m < n {
-        return Err(LinalgError::invalid_input(
-            "least_squares requires at least as many rows as columns",
-        ));
-    }
-    let qr = factor_thin(a);
-    let tol = f64::EPSILON * a.norm_max().max(1.0) * (m.max(n) as f64);
-    for i in 0..n {
-        if qr.r[(i, i)].abs() <= tol {
-            return Err(LinalgError::Singular {
-                operation: "qr::least_squares",
-            });
-        }
-    }
-    let rhs = qr.q.transpose_matmul(b)?;
-    // Back substitution R x = Qᵀ b.
-    let nrhs = rhs.cols();
-    let mut x = Matrix::zeros(n, nrhs);
-    for j in 0..nrhs {
-        for i in (0..n).rev() {
-            let mut s = rhs[(i, j)];
-            for k in (i + 1)..n {
-                s -= qr.r[(i, k)] * x[(k, j)];
-            }
-            x[(i, j)] = s / qr.r[(i, i)];
-        }
-    }
-    Ok(x)
-}
-
 /// Orthonormalizes the columns of `a` (modified Gram–Schmidt with
 /// reorthogonalization), dropping columns that are numerically dependent.
 ///
@@ -483,35 +437,6 @@ mod tests {
                 assert!(qr.r[(i, j)].abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn least_squares_exact_for_square() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
-        let b = Matrix::column(&[5.0, 10.0]);
-        let x = least_squares(&a, &b).unwrap();
-        assert!((&(&a * &x) - &b).norm_fro() < 1e-12);
-    }
-
-    #[test]
-    fn least_squares_overdetermined() {
-        // Fit y = 2 t + 1 exactly representable.
-        let t: Vec<f64> = (0..6).map(|i| i as f64).collect();
-        let a = Matrix::from_fn(6, 2, |i, j| if j == 0 { t[i] } else { 1.0 });
-        let b = Matrix::from_fn(6, 1, |i, _| 2.0 * t[i] + 1.0);
-        let x = least_squares(&a, &b).unwrap();
-        assert!((x[(0, 0)] - 2.0).abs() < 1e-12);
-        assert!((x[(1, 0)] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn least_squares_rank_deficient_errors() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0], &[3.0, 6.0]]);
-        let b = Matrix::column(&[1.0, 2.0, 3.0]);
-        assert!(matches!(
-            least_squares(&a, &b),
-            Err(LinalgError::Singular { .. })
-        ));
     }
 
     #[test]

@@ -19,7 +19,8 @@ pub struct RealSchur {
 ///
 /// # Errors
 ///
-/// Returns [`LinalgError::NotSquare`] for rectangular input and
+/// Returns [`LinalgError::NotSquare`] for rectangular input,
+/// [`LinalgError::InvalidInput`] for a NaN or infinite entry, and
 /// [`LinalgError::ConvergenceFailure`] if the QR iteration does not converge
 /// within `60 * n` iterations (extremely unusual for real data thanks to the
 /// exceptional-shift strategy).
@@ -48,7 +49,8 @@ pub fn real_schur(a: &Matrix) -> Result<RealSchur, LinalgError> {
 ///
 /// # Errors
 ///
-/// Same as [`real_schur`].
+/// Same as [`real_schur`]; non-finite input is refused before `h` or `q` is
+/// touched.
 pub fn real_schur_in(
     h: &mut Matrix,
     q: Option<&mut Matrix>,
@@ -74,6 +76,13 @@ pub(crate) fn real_schur_body(
     mut q: Option<&mut Matrix>,
     scratch: &mut crate::workspace::ReflectorScratch,
 ) -> Result<(), LinalgError> {
+    // A NaN or infinity keeps every deflation test false, so the iteration
+    // would run its whole 60n-sweep budget before failing.
+    if h.as_slice().iter().any(|v| !v.is_finite()) {
+        return Err(LinalgError::invalid_input(
+            "schur::real_schur needs finite entries",
+        ));
+    }
     let n = h.rows();
     if n == 0 {
         if let Some(q) = q {
@@ -428,5 +437,33 @@ mod tests {
             real_schur(&Matrix::zeros(3, 2)),
             Err(LinalgError::NotSquare { .. })
         ));
+    }
+
+    #[test]
+    fn non_finite_input_fails_at_once_and_leaves_h_untouched() {
+        // One NaN keeps every deflation test false, so without the entry
+        // check the iteration would run its 60n-sweep budget, seconds at
+        // this order.
+        let n = 394;
+        let mut a = Matrix::from_fn(n, n, |i, j| ((i * 7 + j * 13) % 17) as f64 * 0.1 - 0.8);
+        a[(n / 3, n / 5)] = f64::NAN;
+        let mut scratch = crate::workspace::ReflectorScratch::new();
+        for with_q in [true, false] {
+            let mut h = a.clone();
+            let mut q = Matrix::zeros(0, 0);
+            let result = real_schur_in(&mut h, with_q.then_some(&mut q), &mut scratch);
+            assert!(
+                matches!(result, Err(LinalgError::InvalidInput { .. })),
+                "q {with_q}: {result:?}"
+            );
+            assert!(
+                h.as_slice()
+                    .iter()
+                    .zip(a.as_slice())
+                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                "q {with_q}: h changed"
+            );
+            assert!(q.is_empty(), "q {with_q}: q changed");
+        }
     }
 }

@@ -118,16 +118,6 @@ pub fn spectral_abscissa(a: &Matrix) -> Result<f64, LinalgError> {
     Ok(eig.iter().map(|z| z.re).fold(f64::NEG_INFINITY, f64::max))
 }
 
-/// Spectral radius: the largest modulus among the eigenvalues.
-///
-/// # Errors
-///
-/// Propagates the errors of [`eigenvalues`].
-pub fn spectral_radius(a: &Matrix) -> Result<f64, LinalgError> {
-    let eig = eigenvalues(a)?;
-    Ok(eig.iter().map(|z| z.abs()).fold(0.0, f64::max))
-}
-
 /// Returns `true` when every eigenvalue has a strictly negative real part
 /// (Hurwitz stability), using `tol` as the allowed margin around zero.
 ///
@@ -136,17 +126,6 @@ pub fn spectral_radius(a: &Matrix) -> Result<f64, LinalgError> {
 /// Propagates the errors of [`eigenvalues`].
 pub fn is_hurwitz(a: &Matrix, tol: f64) -> Result<bool, LinalgError> {
     Ok(spectral_abscissa(a)? < -tol.abs() || a.rows() == 0)
-}
-
-/// Returns the eigenvalues whose real part is within `tol` of zero
-/// (i.e. numerically on the imaginary axis).
-///
-/// # Errors
-///
-/// Propagates the errors of [`eigenvalues`].
-pub fn imaginary_axis_eigenvalues(a: &Matrix, tol: f64) -> Result<Vec<Complex>, LinalgError> {
-    let eig = eigenvalues(a)?;
-    Ok(eig.into_iter().filter(|z| z.re.abs() <= tol).collect())
 }
 
 /// Re-exported Schur result type for callers that need the factors.
@@ -199,23 +178,6 @@ mod tests {
         let unstable = Matrix::from_rows(&[&[0.1, 0.0], &[0.0, -2.0]]);
         assert!(!is_hurwitz(&unstable, 1e-12).unwrap());
         assert!((spectral_abscissa(&unstable).unwrap() - 0.1).abs() < 1e-10);
-    }
-
-    #[test]
-    fn spectral_radius_of_scaled_rotation() {
-        let a = Matrix::from_rows(&[&[0.0, 2.0], &[-2.0, 0.0]]);
-        assert!((spectral_radius(&a).unwrap() - 2.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn imaginary_axis_detection() {
-        let a = Matrix::block_diag(&[
-            &Matrix::from_rows(&[&[0.0, 4.0], &[-4.0, 0.0]]), // ±4i
-            &Matrix::from_rows(&[&[-1.0]]),
-        ]);
-        let on_axis = imaginary_axis_eigenvalues(&a, 1e-8).unwrap();
-        assert_eq!(on_axis.len(), 2);
-        assert!(on_axis.iter().all(|z| (z.im.abs() - 4.0).abs() < 1e-8));
     }
 
     #[test]

@@ -27,8 +27,6 @@ pub enum LinalgError {
         /// Description of the operation that failed.
         operation: &'static str,
     },
-    /// The matrix is not positive definite (Cholesky factorization failed).
-    NotPositiveDefinite,
     /// An iterative algorithm failed to converge within its iteration budget.
     ConvergenceFailure {
         /// Description of the algorithm that failed.
@@ -62,9 +60,6 @@ impl fmt::Display for LinalgError {
             ),
             LinalgError::Singular { operation } => {
                 write!(f, "matrix is singular in {operation}")
-            }
-            LinalgError::NotPositiveDefinite => {
-                write!(f, "matrix is not positive definite")
             }
             LinalgError::ConvergenceFailure {
                 operation,

@@ -8,14 +8,14 @@
 //!
 //! The crate provides exactly the kernels the DAC 2006 passivity test needs:
 //!
-//! * factorizations: [`decomp::lu`], [`decomp::qr`], [`decomp::cholesky`],
-//!   [`decomp::hessenberg`], [`decomp::schur`] (Francis double-shift real Schur),
-//!   [`decomp::svd`] (one-sided Jacobi), [`decomp::symmetric`] (cyclic Jacobi),
+//! * factorizations: [`decomp::lu`], [`decomp::ldlt`] (Bunch–Kaufman),
+//!   [`decomp::qr`], [`decomp::hessenberg`], [`decomp::schur`] (Francis
+//!   double-shift real Schur), [`decomp::svd`] (one-sided Jacobi),
+//!   [`decomp::symmetric`] (cyclic Jacobi),
 //! * eigenvalues of general and symmetric matrices ([`eigen`]),
-//! * SVD-based subspace arithmetic — null spaces, ranges, intersections,
-//!   complements ([`subspace`]),
-//! * the matrix sign function for invariant-subspace splitting ([`sign`]),
-//! * Lyapunov/Sylvester solvers via Bartels–Stewart ([`lyapunov`]),
+//! * SVD-based subspace arithmetic — null spaces, ranges, complements,
+//!   subtraction ([`subspace`]),
+//! * the matrix sign function, general and Hamiltonian ([`sign`]),
 //! * Moore–Penrose pseudo-inverse ([`pinv`]),
 //! * reusable per-dimension scratch buffers for the eigen/sign hot path
 //!   ([`workspace`]): the `_in` kernel variants run with zero heap allocation
@@ -44,7 +44,6 @@
 pub mod decomp;
 pub mod eigen;
 pub mod error;
-pub mod lyapunov;
 pub mod matrix;
 pub mod pinv;
 pub mod scalar;

@@ -277,11 +277,6 @@ impl Matrix {
         }
     }
 
-    /// Consumes the matrix and returns its row-major data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Returns the element at `(i, j)` or `None` when out of bounds.
     pub fn get(&self, i: usize, j: usize) -> Option<f64> {
         if i < self.rows && j < self.cols {
@@ -371,47 +366,6 @@ impl Matrix {
         m
     }
 
-    /// Returns a matrix whose rows are the rows of `self` selected by
-    /// `indices`, in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn select_rows(&self, indices: &[usize]) -> Matrix {
-        let mut m = Matrix::zeros(indices.len(), self.cols);
-        for (k, &i) in indices.iter().enumerate() {
-            assert!(i < self.rows, "row index out of bounds");
-            for j in 0..self.cols {
-                m[(k, j)] = self[(i, j)];
-            }
-        }
-        m
-    }
-
-    /// Swaps rows `i` and `j` in place.
-    pub fn swap_rows(&mut self, i: usize, j: usize) {
-        if i == j {
-            return;
-        }
-        for k in 0..self.cols {
-            let a = self[(i, k)];
-            self[(i, k)] = self[(j, k)];
-            self[(j, k)] = a;
-        }
-    }
-
-    /// Swaps columns `i` and `j` in place.
-    pub fn swap_cols(&mut self, i: usize, j: usize) {
-        if i == j {
-            return;
-        }
-        for k in 0..self.rows {
-            let a = self[(k, i)];
-            self[(k, i)] = self[(k, j)];
-            self[(k, j)] = a;
-        }
-    }
-
     /// The main diagonal as a vector of values.
     pub fn diagonal(&self) -> Vec<f64> {
         (0..self.rows.min(self.cols))
@@ -446,13 +400,6 @@ impl Matrix {
     /// Multiplies every element by `factor`, returning a new matrix.
     pub fn scale(&self, factor: f64) -> Matrix {
         self.map(|x| x * factor)
-    }
-
-    /// In-place scaling by `factor`.
-    pub fn scale_mut(&mut self, factor: f64) {
-        for x in &mut self.data {
-            *x *= factor;
-        }
     }
 
     /// Matrix product `self * rhs`.
@@ -604,32 +551,6 @@ impl Matrix {
     /// Maximum absolute entry (the max norm).
     pub fn norm_max(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |acc, &x| acc.max(x.abs()))
-    }
-
-    /// Induced 1-norm (maximum absolute column sum).
-    pub fn norm_one(&self) -> f64 {
-        let mut best = 0.0_f64;
-        for j in 0..self.cols {
-            let mut s = 0.0;
-            for i in 0..self.rows {
-                s += self[(i, j)].abs();
-            }
-            best = best.max(s);
-        }
-        best
-    }
-
-    /// Induced infinity norm (maximum absolute row sum).
-    pub fn norm_inf(&self) -> f64 {
-        let mut best = 0.0_f64;
-        for i in 0..self.rows {
-            let mut s = 0.0;
-            for j in 0..self.cols {
-                s += self[(i, j)].abs();
-            }
-            best = best.max(s);
-        }
-        best
     }
 
     /// Returns `true` when `self` is symmetric to within `tol`
@@ -1015,21 +936,10 @@ mod tests {
     }
 
     #[test]
-    fn select_rows_and_columns() {
+    fn select_columns_in_order() {
         let m = sample();
         let c = m.select_columns(&[2, 0]);
         assert_eq!(c, Matrix::from_rows(&[&[3.0, 1.0], &[6.0, 4.0]]));
-        let r = m.select_rows(&[1]);
-        assert_eq!(r, Matrix::row_vector(&[4.0, 5.0, 6.0]));
-    }
-
-    #[test]
-    fn swap_rows_cols() {
-        let mut m = sample();
-        m.swap_rows(0, 1);
-        assert_eq!(m[(0, 0)], 4.0);
-        m.swap_cols(0, 2);
-        assert_eq!(m[(0, 0)], 6.0);
     }
 
     #[test]
@@ -1037,8 +947,6 @@ mod tests {
         let m = Matrix::from_rows(&[&[3.0, -4.0], &[0.0, 0.0]]);
         assert!((m.norm_fro() - 5.0).abs() < 1e-15);
         assert_eq!(m.norm_max(), 4.0);
-        assert_eq!(m.norm_one(), 4.0);
-        assert_eq!(m.norm_inf(), 7.0);
     }
 
     #[test]

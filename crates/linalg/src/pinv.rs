@@ -47,25 +47,6 @@ pub fn pseudo_inverse(a: &Matrix, rel_tol: f64) -> Result<Matrix, LinalgError> {
     Ok(out)
 }
 
-/// Solves the least-squares / minimum-norm problem `A x ≈ b` through the
-/// pseudo-inverse (works for any shape and rank).
-///
-/// # Errors
-///
-/// Returns [`LinalgError::ShapeMismatch`] for inconsistent row counts and
-/// propagates SVD convergence failures.
-pub fn solve_min_norm(a: &Matrix, b: &Matrix, rel_tol: f64) -> Result<Matrix, LinalgError> {
-    if a.rows() != b.rows() {
-        return Err(LinalgError::ShapeMismatch {
-            operation: "pinv::solve_min_norm",
-            left: a.shape(),
-            right: b.shape(),
-        });
-    }
-    let p = pseudo_inverse(a, rel_tol)?;
-    p.matmul(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,32 +95,5 @@ mod tests {
         let p = pseudo_inverse(&z, TOL).unwrap();
         assert_eq!(p.shape(), (3, 2));
         assert_eq!(p.norm_fro(), 0.0);
-    }
-
-    #[test]
-    fn min_norm_solution_of_underdetermined_system() {
-        let a = Matrix::from_rows(&[&[1.0, 1.0, 0.0]]);
-        let b = Matrix::column(&[2.0]);
-        let x = solve_min_norm(&a, &b, TOL).unwrap();
-        // Minimum-norm solution is [1, 1, 0]ᵀ.
-        assert!((x[(0, 0)] - 1.0).abs() < 1e-10);
-        assert!((x[(1, 0)] - 1.0).abs() < 1e-10);
-        assert!(x[(2, 0)].abs() < 1e-10);
-    }
-
-    #[test]
-    fn least_squares_solution_of_overdetermined_system() {
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 0.0], &[0.0, 1.0]]);
-        let b = Matrix::column(&[1.0, 3.0, 5.0]);
-        let x = solve_min_norm(&a, &b, TOL).unwrap();
-        assert!((x[(0, 0)] - 2.0).abs() < 1e-10);
-        assert!((x[(1, 0)] - 5.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn shape_mismatch_rejected() {
-        let a = Matrix::zeros(2, 2);
-        let b = Matrix::zeros(3, 1);
-        assert!(solve_min_norm(&a, &b, TOL).is_err());
     }
 }

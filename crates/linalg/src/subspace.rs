@@ -1,10 +1,10 @@
 //! SVD-based subspace arithmetic.
 //!
 //! The passivity-test reduction of the DAC 2006 paper is phrased entirely in
-//! terms of subspace operations: kernels, ranges, orthogonal complements,
-//! intersections and "set subtraction" `X \ Y = X ∩ Y⊥` (in the sense of
-//! Basile–Marro).  All decisions about numerical rank go through the SVD with a
-//! relative tolerance.
+//! terms of subspace operations: kernels, ranges, orthogonal complements
+//! and "set subtraction" `X \ Y = X ∩ Y⊥` (in the sense of Basile–Marro).
+//! All decisions about numerical rank go through the SVD with a relative
+//! tolerance.
 
 use crate::decomp::qr;
 use crate::decomp::svd::{rank_from_singular_values, svd, svd_u_s};
@@ -77,15 +77,6 @@ pub fn null_space(a: &Matrix, rel_tol: f64) -> Result<Matrix, LinalgError> {
     }
 }
 
-/// Orthonormal basis of the left null space of `a`: all `y` with `yᵀ a = 0`.
-///
-/// # Errors
-///
-/// Propagates SVD convergence failures.
-pub fn left_null_space(a: &Matrix, rel_tol: f64) -> Result<Matrix, LinalgError> {
-    null_space(&a.transpose(), rel_tol)
-}
-
 /// Orthonormal basis of the orthogonal complement of `span(u)` inside `R^dim`.
 ///
 /// `u` must have `dim` rows (its columns need not be orthonormal).
@@ -118,32 +109,6 @@ pub fn complement(u: &Matrix, dim: usize) -> Result<Matrix, LinalgError> {
     }
     let full = qr::factor_full(&q).q;
     Ok(full.block(0, dim, q.cols(), dim))
-}
-
-/// Orthonormal basis of the intersection `span(u) ∩ span(v)`.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::InvalidInput`] when the row counts differ; propagates
-/// SVD convergence failures.
-pub fn intersection(u: &Matrix, v: &Matrix, rel_tol: f64) -> Result<Matrix, LinalgError> {
-    if u.cols() == 0 || v.cols() == 0 {
-        return Ok(Matrix::zeros(u.rows(), 0));
-    }
-    if u.rows() != v.rows() {
-        return Err(LinalgError::invalid_input(
-            "intersection: bases live in different ambient dimensions",
-        ));
-    }
-    // w ∈ span(u) ∩ span(v)  ⇔  w = u a = v b  ⇔  [u, -v] [a; b] = 0.
-    let stacked = Matrix::hstack(&[u, &v.scale(-1.0)]);
-    let ns = null_space(&stacked, rel_tol)?;
-    if ns.cols() == 0 {
-        return Ok(Matrix::zeros(u.rows(), 0));
-    }
-    let a_part = ns.block(0, u.cols(), 0, ns.cols());
-    let w = u.matmul(&a_part)?;
-    range_basis(&w, rel_tol)
 }
 
 /// Subspace "subtraction" in the sense of Basile–Marro: an orthonormal basis of
@@ -288,14 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn left_null_space_annihilates_from_left() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0], &[0.0, 1.0]]);
-        let lns = left_null_space(&a, TOL).unwrap();
-        assert_eq!(lns.cols(), 1);
-        assert!((&lns.transpose() * &a).norm_fro() < 1e-9);
-    }
-
-    #[test]
     fn range_basis_spans_columns() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 4.0], &[0.0, 0.0, 0.0], &[1.0, 2.0, 4.0]]);
         let r = range_basis(&a, TOL).unwrap();
@@ -314,24 +271,6 @@ mod tests {
         assert!((&u.transpose() * &c).norm_fro() < 1e-10);
         // Complement of nothing is everything.
         assert_eq!(complement(&Matrix::zeros(3, 0), 3).unwrap().cols(), 3);
-    }
-
-    #[test]
-    fn intersection_of_planes() {
-        // span{e1, e2} ∩ span{e2, e3} = span{e2}
-        let u = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[0.0, 0.0]]);
-        let v = Matrix::from_rows(&[&[0.0, 0.0], &[1.0, 0.0], &[0.0, 1.0]]);
-        let w = intersection(&u, &v, TOL).unwrap();
-        assert_eq!(w.cols(), 1);
-        assert!((w[(1, 0)].abs() - 1.0).abs() < 1e-9);
-        assert!(w[(0, 0)].abs() < 1e-9 && w[(2, 0)].abs() < 1e-9);
-    }
-
-    #[test]
-    fn intersection_of_disjoint_lines_is_empty() {
-        let u = Matrix::column(&[1.0, 0.0, 0.0]);
-        let v = Matrix::column(&[0.0, 1.0, 0.0]);
-        assert_eq!(intersection(&u, &v, TOL).unwrap().cols(), 0);
     }
 
     #[test]

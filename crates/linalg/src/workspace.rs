@@ -169,8 +169,8 @@ struct Slot {
 
 /// A pool of [`EigenWorkspace`]s keyed by matrix dimension.
 ///
-/// Residency is bounded: at most [`MAX_RESIDENT_SLOTS`] dimensions and (softly)
-/// [`RESIDENT_BYTE_BUDGET`] bytes stay warm, with least-recently-used
+/// Residency is bounded: at most `MAX_RESIDENT_SLOTS` dimensions and (softly)
+/// `RESIDENT_BYTE_BUDGET` bytes stay warm, with least-recently-used
 /// workspaces evicted first — so a long-lived worker sweeping arbitrary order
 /// mixes cannot grow its scratch without bound.
 #[derive(Debug, Default)]

@@ -1,21 +1,12 @@
-//! Error type for the LMI / ARE routines.
+//! Error type for the LMI routines.
 
 use ds_descriptor::DescriptorError;
 use ds_linalg::LinalgError;
 use std::fmt;
 
-/// Error returned by the LMI and ARE solvers.
+/// Error returned by the LMI solver.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LmiError {
-    /// The Riccati equation has no stabilizing solution (eigenvalues of the
-    /// associated Hamiltonian matrix lie on the imaginary axis, or the
-    /// invariant-subspace basis is singular).
-    NoStabilizingSolution {
-        /// Explanation of the failure.
-        details: String,
-    },
-    /// `D + Dᵀ` is singular, so the Riccati formulation is not applicable.
-    SingularFeedthrough,
     /// The requested operation needs a square (equal inputs/outputs) system.
     NotSquareSystem {
         /// Number of inputs.
@@ -32,15 +23,6 @@ pub enum LmiError {
 impl fmt::Display for LmiError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LmiError::NoStabilizingSolution { details } => {
-                write!(f, "no stabilizing Riccati solution: {details}")
-            }
-            LmiError::SingularFeedthrough => {
-                write!(
-                    f,
-                    "D + Dᵀ is singular; the Riccati formulation does not apply"
-                )
-            }
             LmiError::NotSquareSystem { inputs, outputs } => write!(
                 f,
                 "operation requires a square system, got {inputs} inputs and {outputs} outputs"
@@ -79,14 +61,15 @@ mod tests {
 
     #[test]
     fn display_variants() {
-        assert!(LmiError::SingularFeedthrough
-            .to_string()
-            .contains("singular"));
-        assert!(LmiError::NoStabilizingSolution {
-            details: "imaginary-axis eigenvalues".into()
+        assert!(LmiError::NotSquareSystem {
+            inputs: 1,
+            outputs: 2
         }
         .to_string()
-        .contains("imaginary-axis"));
+        .contains("2 outputs"));
+        assert!(LmiError::from(LinalgError::Singular { operation: "lu" })
+            .to_string()
+            .contains("singular"));
     }
 
     #[test]

@@ -1,26 +1,19 @@
 //! # ds-lmi
 //!
-//! LMI and algebraic-Riccati-equation substrate for descriptor-system
-//! positive-real tests.
+//! LMI positive-realness substrate for descriptor systems.
 //!
-//! This crate provides the two "conventional" ingredients the DAC 2006 paper
-//! compares against:
-//!
-//! * [`are`] — the Kalman–Yakubovich–Popov / algebraic Riccati route for
-//!   regular systems (paper eq. (5)): the stabilizing ARE solution is obtained
-//!   from the stable invariant subspace of the associated Hamiltonian matrix.
-//! * [`positive_real_lmi`] — the extended positive-real LMI for descriptor
-//!   systems (paper eq. (4), after Freund & Jarre) together with a first-order
-//!   feasibility solver (projected gradient on the cone-violation objective).
-//!   A general-purpose interior-point SDP solver would reproduce the paper's
-//!   O(n⁵)–O(n⁶) complexity even more faithfully, but even this deliberately
-//!   simple solver is orders of magnitude slower than the structured O(n³)
-//!   test, which is the comparison the paper makes.
+//! This crate provides the "conventional" baseline the DAC 2006 paper
+//! compares against: [`positive_real_lmi`], the extended positive-real LMI for
+//! descriptor systems (paper eq. (4), after Freund & Jarre) together with a
+//! first-order feasibility solver (projected gradient on the cone-violation
+//! objective).  A general-purpose interior-point SDP solver would reproduce
+//! the paper's O(n⁵)–O(n⁶) complexity even more faithfully, but even this
+//! deliberately simple solver is orders of magnitude slower than the
+//! structured O(n³) test, which is the comparison the paper makes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod are;
 pub mod error;
 pub mod positive_real_lmi;
 

@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn conversions_keep_source() {
-        let e: ShhError = LinalgError::NotPositiveDefinite.into();
+        let e: ShhError = LinalgError::Singular { operation: "lu" }.into();
         assert!(std::error::Error::source(&e).is_some());
         let d: ShhError = DescriptorError::SingularPencil.into();
         assert!(std::error::Error::source(&d).is_some());

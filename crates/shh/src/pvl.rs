@@ -9,7 +9,7 @@
 //! ```
 //!
 //! This is the dense O(n³) equivalent of the isotropic Arnoldi process the
-//! paper cites from Mehrmann & Watkins [17]; the passivity flow only needs the
+//! paper cites from Mehrmann & Watkins \[17\]; the passivity flow only needs the
 //! block-triangular shape (eq. (21)), the Hessenberg structure of `W₁₁` comes
 //! for free.
 

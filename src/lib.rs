@@ -16,7 +16,7 @@
 //!   near-boundary families), with native `K` mutual-inductance couplings,
 //! * [`netlist`] (`ds-netlist`) — the SPICE-deck front-end: text parser with
 //!   line/column diagnostics, canonical renderer and content hashing,
-//! * [`lmi`] (`ds-lmi`) — the LMI / Riccati substrate,
+//! * [`lmi`] (`ds-lmi`) — the LMI positive-realness substrate,
 //! * [`passivity`] (`ds-passivity`) — the paper's fast test and the two
 //!   baselines,
 //! * [`harness`] (`ds-harness`) — the deterministic parallel sweep engine

@@ -7,7 +7,7 @@
 
 use ds_circuits::mna;
 use ds_linalg::decomp::{ldlt, lu};
-use ds_linalg::sign::{self, SignOptions, SignScaling};
+use ds_linalg::sign::{self, SignOptions};
 use ds_linalg::workspace::WorkspacePool;
 use ds_linalg::{LinalgError, Matrix};
 use ds_netlist::parse_deck;
@@ -122,17 +122,13 @@ proptest! {
     }
 }
 
-/// Runs both sign iterations on `h` with `scaling` and checks they agree.
-fn assert_signs_agree(h: &Matrix, scaling: SignScaling, what: &str) {
+/// Runs both sign iterations on `h` and checks they agree.
+fn assert_signs_agree(h: &Matrix, what: &str) {
     let m = h.rows();
     let mut pool = WorkspacePool::new();
     let mut general = Matrix::zeros(0, 0);
     let mut structured = Matrix::zeros(0, 0);
-    let options = SignOptions {
-        scaling,
-        ..SignOptions::default()
-    };
-    let what = format!("{what}, {scaling:?} scaling");
+    let options = SignOptions::default();
     let general_its = sign::matrix_sign_into(h, &options, pool.get(m), &mut general)
         .unwrap_or_else(|e| panic!("{what}: general sign failed: {e}"));
     let structured_its = sign::hamiltonian_sign_into(h, &options, pool.get(m), &mut structured)
@@ -157,23 +153,17 @@ fn assert_signs_agree(h: &Matrix, scaling: SignScaling, what: &str) {
 
 #[test]
 fn structured_sign_matches_general_sign_on_random_hamiltonians() {
-    let scalings = [
-        SignScaling::Frobenius,
-        SignScaling::Determinantal,
-        SignScaling::None,
-    ];
     for half in 1..=30 {
         for seed in 0..3u64 {
             let h = random_hamiltonian(half, 1000 * half as u64 + seed, 1.5);
-            let scaling = scalings[seed as usize];
-            assert_signs_agree(&h, scaling, &format!("order {} seed {seed}", 2 * half));
+            assert_signs_agree(&h, &format!("order {} seed {seed}", 2 * half));
         }
     }
 }
 
 #[test]
 fn structured_sign_matches_general_sign_on_the_n200_spectrum() {
-    // The spectrum of `scaled_newton_beats_unscaled_at_n200`: H = diag(−D, D)
+    // The spectrum of `scaled_newton_converges_fast_at_n200`: H = diag(−D, D)
     // with magnitudes 10²..10⁴, rotated by an orthogonal symplectic matrix
     // so that J·H is a full symmetric matrix.
     let half = 100;
@@ -183,13 +173,13 @@ fn structured_sign_matches_general_sign_on_the_n200_spectrum() {
         (true, true) => -magnitude(i),
         (true, false) => magnitude(i - half),
     });
-    assert_signs_agree(&d, SignScaling::Frobenius, "n = 200 diagonal");
+    assert_signs_agree(&d, "n = 200 diagonal");
     let q = ds_linalg::decomp::qr::factor_full(&random_symmetric(half, 7, false)).q;
     let zero = Matrix::zeros(half, half);
     let rotation = Matrix::from_blocks_2x2(&q, &zero, &zero, &q);
     assert!(structure::is_orthogonal_symplectic(&rotation, 1e-10).unwrap());
     let h = &(&rotation.transpose() * &d) * &rotation;
-    assert_signs_agree(&h, SignScaling::Frobenius, "n = 200 rotated");
+    assert_signs_agree(&h, "n = 200 rotated");
 }
 
 /// The impulsive RLC ladder of the daemon's on-chip traffic, frequency
