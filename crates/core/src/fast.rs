@@ -28,6 +28,7 @@ use ds_obs::trace::{self, in_span};
 use ds_shh::pencil::build_phi;
 use ds_shh::positive_real::{self, HamiltonianSpectrum, PositiveRealOptions, PositiveRealVerdict};
 use ds_shh::ShhError;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -37,10 +38,44 @@ use std::time::{Duration, Instant};
 /// against an eigensolve of 5–8 ms at `2n_p = 130` (0.7 ms at 66).
 const OVERLAP_MIN_DIM: usize = 128;
 
-/// Whether the process may run on more than one core (read once).
-fn spare_core() -> bool {
+/// The cores the process may run on (read once).
+fn cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get())) > 1
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Checks and zeros helpers running in this process, whatever thread or
+/// caller (daemon worker, sweep worker, API) started them.  `Relaxed`
+/// throughout: the count publishes no other data, and a stale read only
+/// starts or skips one helper, whose zeros are the same bits either way.
+static IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
+
+/// One check or helper counted in [`IN_FLIGHT`], counted out on drop.
+struct InFlight(());
+
+impl InFlight {
+    /// Counts a check in.
+    fn check() -> InFlight {
+        IN_FLIGHT.fetch_add(1, Ordering::Relaxed);
+        InFlight(())
+    }
+
+    /// Counts a helper in if a core is idle, that is, if fewer checks and
+    /// helpers are in flight than the process has cores.
+    fn helper() -> Option<InFlight> {
+        IN_FLIGHT
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < cores()).then_some(n + 1)
+            })
+            .ok()
+            .map(|_| InFlight(()))
+    }
+}
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        IN_FLIGHT.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// The zeros of `Φ`, as the positive-real stage receives them.
@@ -111,8 +146,11 @@ impl FastTestOptions {
 /// [`ds_obs::STAGES`], so a traced caller sees where the time went and the
 /// stages add up to the whole run.  The eigensolve behind the positive-real
 /// test shows as a `zeros` span: under `split` when a helper thread ran it
-/// beside the split (`2n_p ≥ 128` and more than one core), otherwise under
-/// `pr_test`.  A panic on the helper resumes on the calling thread.
+/// beside the split, otherwise under `pr_test`.  The helper starts when
+/// `2n_p ≥ 128` and a core is idle: fewer checks and helpers are in flight
+/// in the process than it has cores, so a busy daemon or sweep adds no
+/// thread.  Either way the zeros are the same bits.  A panic on the helper
+/// resumes on the calling thread.
 ///
 /// # Errors
 ///
@@ -128,6 +166,7 @@ pub fn check_passivity(
             outputs: sys.num_outputs(),
         });
     }
+    let _in_flight = InFlight::check();
     let tol = options.rel_tol.max(1e-13);
     let scale = sys.scale();
     let mut diagnostics = ReductionDiagnostics::default();
@@ -228,24 +267,30 @@ pub fn check_passivity(
     // depend on the split: on a big enough pencil a helper thread computes
     // them while the split runs; otherwise stage 5 computes them if it needs
     // them.  Either way the zero matrix is formed before the split frees the
-    // realization.  (A helper that cannot be spawned leaves the work to
-    // stage 5.)
+    // realization.  (A helper that finds no idle core, or cannot be spawned,
+    // leaves the work to stage 5.)
     let regular = in_span("regularize", || {
         let regular = proper::regularize(&restored.system, tol);
         drop(restored);
         regular
     })?;
-    let overlap = 2 * regular.half >= OVERLAP_MIN_DIM && spare_core();
+    let slot = if 2 * regular.half >= OVERLAP_MIN_DIM {
+        InFlight::helper()
+    } else {
+        None
+    };
     let split = in_span("split", || {
         let split = std::thread::scope(|scope| {
-            let helper = if overlap {
+            let helper = slot.and_then(|slot| {
                 std::thread::Builder::new()
                     .name("ds-zeros".to_string())
-                    .spawn_scoped(scope, || timed_zeros(&regular))
+                    .spawn_scoped(scope, || {
+                        let zeros = timed_zeros(&regular);
+                        drop(slot);
+                        zeros
+                    })
                     .ok()
-            } else {
-                None
-            };
+            });
             let stable = proper::extract_stable_part(&regular, tol);
             let zeros = match helper {
                 Some(helper) => {
@@ -542,6 +587,38 @@ mod tests {
             check_passivity(&sys, &opts()),
             Err(PassivityError::NotSquareSystem { .. })
         ));
+    }
+
+    #[test]
+    fn zeros_run_inline_when_every_core_is_busy() {
+        // Holders count themselves in as checks, so with this test's own
+        // check the count reaches the core total and no core is idle.
+        let holders = cores() - 1;
+        let counted = std::sync::Barrier::new(holders + 1);
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let released = std::sync::Mutex::new(released);
+        let model = generators::rlc_ladder_with_impulsive(100).unwrap();
+        let (report, trace) = std::thread::scope(|scope| {
+            for _ in 0..holders {
+                scope.spawn(|| {
+                    let _held = InFlight::check();
+                    counted.wait();
+                    // Returns once `release` is dropped, on a panic too.
+                    let _ = released.lock().unwrap().recv();
+                });
+            }
+            counted.wait();
+            trace::begin("busy");
+            let report = check_passivity(&model.system, &opts());
+            let trace = trace::end().unwrap();
+            drop(release);
+            (report, trace)
+        });
+        assert!(report.unwrap().verdict.is_passive());
+        let span = |name: &str| trace.spans.iter().find(|s| s.name == name).unwrap();
+        let zeros: Vec<_> = trace.spans.iter().filter(|s| s.name == "zeros").collect();
+        assert_eq!(zeros.len(), 1, "one eigensolve");
+        assert_eq!(zeros[0].parent, Some(span("pr_test").seq));
     }
 
     #[test]

@@ -103,10 +103,16 @@ pub fn regularize(sys: &DescriptorSystem, rel_tol: f64) -> Result<RegularizedPhi
     let zl = wl_inv.matmul(&form.z.transpose())?;
     let zr = form.z.matmul(&wr_inv)?;
 
-    // Verify Z_L E₃ Z_R = I.
+    // Verify Z_L E₃ Z_R = I, in one pass over the product.
     let e_check = zl.matmul(&sys.e().matmul(&zr)?)?;
-    let identity = Matrix::identity(order);
-    let e_residual = (&e_check - &identity).norm_max();
+    let e_residual = e_check
+        .as_slice()
+        .chunks_exact(order)
+        .enumerate()
+        .flat_map(|(i, row)| row.iter().enumerate().map(move |(j, &v)| (i == j, v)))
+        .fold(0.0_f64, |m, (diagonal, v)| {
+            m.max((v - if diagonal { 1.0 } else { 0.0 }).abs())
+        });
     if e_residual > 1e-6 * sys.scale() {
         return Err(PassivityError::breakdown(format!(
             "regularization failed: Z_L E3 Z_R deviates from identity by {e_residual:.2e}"
@@ -175,16 +181,20 @@ pub fn extract_stable_part(
     let split =
         stable_subspace::hamiltonian_split(&phi.a44, rel_tol).map_err(PassivityError::Shh)?;
     // Z₁ᵀ A₄₄ Z₁ = [[Ã, Γ], [0, −Ãᵀ]]; decoupling with Z₂ = Z₁ [[I, Y], [0, I]]
-    // (Ã Y + Y Ãᵀ + Γ = 0, with Y already delivered by the sign function)
-    // leaves the diagonal blocks untouched, so the stable part reads off the
-    // split directly and the full 2n × 2n similarity `Z₂⁻¹ A₄₄ Z₂` never needs
-    // to be formed:
+    // (Ã Y + Y Ãᵀ + Γ = 0, with Y given by the sign function) leaves the
+    // diagonal blocks untouched, so the stable part reads off the split
+    // directly and the full 2n × 2n similarity `Z₂⁻¹ A₄₄ Z₂` never needs to
+    // be formed:
     //   A₅ = [[Ã, ÃY + YÃᵀ + Γ], [0, −Ãᵀ]]  (the off-diagonal block is 0),
     //   B₅ = [[Uᵀ − Y·(−JU)ᵀ], [(−JU)ᵀ]]·B₄₄,   C₅ = C₄₄·[U, …].
+    // B_p needs Y only times the m columns of (−JU)ᵀB₄₄, so Y is not formed.
     let u = &split.stable_basis;
     let nju = structure::jt_mul(u).map_err(PassivityError::Shh)?;
     let ut_b = u.transpose_matmul(&phi.b44)?;
-    let b_stable = &ut_b - &split.decoupling.matmul(&nju.transpose_matmul(&phi.b44)?)?;
+    let y_w = split
+        .decouple(&nju.transpose_matmul(&phi.b44)?)
+        .map_err(PassivityError::Shh)?;
+    let b_stable = &ut_b - &y_w;
     let c_stable = phi.c44.matmul(u)?;
     debug_assert_eq!(c_stable.shape(), (m_out, n));
 
@@ -248,10 +258,23 @@ mod tests {
         // The decoupling leaves ÃY + YÃᵀ + Γ = 0, Γ = Uᵀ·A₄₄·(−JU).
         let regular = regularize(&restored, 1e-10).unwrap();
         let split = stable_subspace::hamiltonian_split(&regular.a44, 1e-10).unwrap();
-        let (u, a, y) = (&split.stable_basis, &split.stable_block, &split.decoupling);
+        let (u, a) = (&split.stable_basis, &split.stable_block);
+        // Y = −½·Uᵀ·sign(A₄₄)·JU (Roberts' identity), formed here only.
+        let ju = structure::j_mul(u).unwrap();
+        let y = u
+            .transpose_matmul(&(&split.sign * &ju))
+            .unwrap()
+            .scale(-0.5);
         let gamma = u.transpose_matmul(&(&regular.a44 * &structure::jt_mul(u).unwrap()));
-        let residual = &(&(a * y) + &(y * &a.transpose())) + &gamma.unwrap();
+        let residual = &(&(a * &y) + &(&y * &a.transpose())) + &gamma.unwrap();
         assert!(residual.norm_max() < 1e-7);
+        // B_p from `decouple` against the explicit-Y formula.
+        let w = structure::jt_mul(u)
+            .unwrap()
+            .transpose_matmul(&regular.b44)
+            .unwrap();
+        let y_w = split.decouple(&w).unwrap();
+        assert!(y_w.approx_eq(&(&y * &w), 1e-12 * (&y * &w).norm_max().max(1.0)));
         let ss = &proper.state_space;
         assert_eq!(ss.order(), 1);
         assert!(ss.is_stable(1e-10).unwrap());

@@ -85,11 +85,6 @@ impl WeierstrassDecomposition {
     pub fn polynomial_degree(&self) -> usize {
         self.markov.len()
     }
-
-    /// `true` when the transfer function is proper (no `s^k`, `k ≥ 1`, terms).
-    pub fn is_proper(&self) -> bool {
-        self.markov.is_empty()
-    }
 }
 
 /// Computes the Weierstrass-style additive decomposition of a regular
@@ -354,7 +349,7 @@ mod tests {
     fn proper_system_has_no_markov_parameters() {
         let sys = proper_index1();
         let dec = decompose(&sys, &WeierstrassOptions::default()).unwrap();
-        assert!(dec.is_proper());
+        assert_eq!(dec.polynomial_degree(), 0);
         assert_eq!(dec.finite_dim, 1);
         assert_eq!(dec.infinite_dim, 1);
         assert_eq!(dec.nilpotent_index, 1);
@@ -394,7 +389,7 @@ mod tests {
         assert_eq!(dec.finite_dim, 2);
         assert_eq!(dec.infinite_dim, 0);
         assert_eq!(dec.nilpotent_index, 0);
-        assert!(dec.is_proper());
+        assert_eq!(dec.polynomial_degree(), 0);
         let err = validation_error(&sys, &dec, &default_probe_points()).unwrap();
         assert!(err < 1e-9);
     }

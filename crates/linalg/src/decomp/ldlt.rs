@@ -17,6 +17,14 @@ use crate::matrix::{add_scaled_rows, Matrix};
 /// bound on element growth.
 const ALPHA: f64 = 0.640_388_203_202_208_4;
 
+/// Order from which [`Ldlt::conjugated_inverse_into`] runs its triangular
+/// products register-blocked.  Below it the per-block coefficient scans and
+/// partial accumulations cost more than the shared loads save: on `J·H` of
+/// random Hamiltonians (2×2 pivots, AVX2 instance) the unblocked products
+/// were faster at orders 16–112 in most of ten alternating pairs, about
+/// even at 128, and slower from 144 on.
+pub(crate) const BLOCKED_INVERSE_MIN_DIM: usize = 128;
+
 /// Bunch–Kaufman factorization `P A Pᵀ = L D Lᵀ` of a symmetric matrix.
 #[derive(Debug, Clone)]
 pub struct Ldlt {
@@ -54,55 +62,89 @@ impl Ldlt {
         self.l.rows()
     }
 
-    /// The exactly symmetric inverse `A⁻¹ = Pᵀ L⁻ᵀ D⁻¹ L⁻¹ P` into `x`, with
-    /// `scratch` as an `n × n` work matrix (both are reshaped and fully
-    /// overwritten; their buffers may trade places, so no allocation happens
-    /// in steady state).
+    /// `J·A⁻¹·J` for an even order `2h`, with `J = [[0, I], [−I, 0]]`, into
+    /// `x`, with `scratch` as an `n × n` work matrix (both are reshaped and
+    /// fully overwritten; their buffers may trade places, so no allocation
+    /// happens in steady state).  The result is exactly symmetric.
+    ///
+    /// From order 128 the two triangular products run register-blocked,
+    /// four rows at a time, and every element still adds its terms one at a
+    /// time in the order of [`Ldlt::inverse_unblocked_into`]; the permuting
+    /// scatter then writes each entry of `A⁻¹` straight to its conjugated
+    /// place, negated where row and column fall in the same half.  At every
+    /// order the bits are therefore those of the reference inverse
+    /// conjugated by `J`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::Singular`] when the factorization flagged a
+    /// pivot and [`LinalgError::InvalidInput`] for an odd order.
+    pub fn conjugated_inverse_into(
+        &self,
+        x: &mut Matrix,
+        scratch: &mut Matrix,
+    ) -> Result<(), LinalgError> {
+        self.checked()?;
+        if !self.dim().is_multiple_of(2) {
+            return Err(LinalgError::invalid_input(
+                "ldlt::conjugated_inverse needs an even order",
+            ));
+        }
+        let blocked = self.dim() >= BLOCKED_INVERSE_MIN_DIM;
+        crate::simd::wide(
+            #[inline(always)]
+            || self.inverse_body(x, scratch, blocked, true),
+        );
+        Ok(())
+    }
+
+    /// The exactly symmetric inverse `A⁻¹ = Pᵀ L⁻ᵀ D⁻¹ L⁻¹ P` into `x`
+    /// through the unblocked products, with `scratch` as for
+    /// [`Ldlt::conjugated_inverse_into`]: the reference its blocked kernel is
+    /// tested against.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::Singular`] when the factorization flagged a
     /// pivot.
-    pub fn inverse_into(&self, x: &mut Matrix, scratch: &mut Matrix) -> Result<(), LinalgError> {
+    pub fn inverse_unblocked_into(
+        &self,
+        x: &mut Matrix,
+        scratch: &mut Matrix,
+    ) -> Result<(), LinalgError> {
+        self.checked()?;
+        crate::simd::wide(
+            #[inline(always)]
+            || self.inverse_body(x, scratch, false, false),
+        );
+        Ok(())
+    }
+
+    fn checked(&self) -> Result<(), LinalgError> {
         if self.singular {
             return Err(LinalgError::Singular {
                 operation: "ldlt::inverse",
             });
         }
-        crate::simd::wide(
-            #[inline(always)]
-            || self.inverse_body(x, scratch),
-        );
         Ok(())
     }
 
-    /// Body of [`Ldlt::inverse_into`] for a factorization with no flagged
-    /// pivot, run through [`crate::simd::wide`].
+    /// Body of the inverse entry points for a factorization with no flagged
+    /// pivot, run through [`crate::simd::wide`]: `blocked` selects the
+    /// register-blocked products, `conjugate` writes `J·A⁻¹·J`.
     #[inline(always)]
-    pub(crate) fn inverse_body(&self, x: &mut Matrix, scratch: &mut Matrix) {
+    pub(crate) fn inverse_body(
+        &self,
+        x: &mut Matrix,
+        scratch: &mut Matrix,
+        blocked: bool,
+        conjugate: bool,
+    ) {
         let n = self.dim();
         scratch.resize_uninit(n, n);
         x.resize_uninit(n, n);
-        let ld = self.l.as_slice();
-        // scratch ← M = L⁻¹ (unit lower triangular), rows top-down: row i
-        // only reads the finished rows k < i.
-        {
-            let md = scratch.as_mut_slice();
-            for i in 0..n {
-                let (head, rest) = md.split_at_mut(i * n);
-                let row_i = &mut rest[..n];
-                row_i.fill(0.0);
-                let terms = ld[i * n..i * n + i].iter().enumerate();
-                let terms = terms
-                    .filter(|(_, &f)| f != 0.0)
-                    .map(|(k, &f)| (f, k * n, k + 1));
-                add_scaled_rows(row_i, head, terms);
-                for xi in row_i[..i].iter_mut() {
-                    *xi = -*xi;
-                }
-                row_i[i] = 1.0;
-            }
-        }
+        // scratch ← M = L⁻¹ (unit lower triangular).
+        unit_lower_inverse(self.l.as_slice(), scratch.as_mut_slice(), n, blocked);
         // x ← Mᵀ in its strict upper triangle: row i then holds column i of
         // M, the coefficients its own lower half is accumulated from below.
         {
@@ -147,38 +189,245 @@ impl Ldlt {
                 }
             }
         }
-        // x's lower triangle ← Mᵀ W: X[i][..=i] = Σ_{k ≥ i} M[k][i]·W[k][..=i],
-        // with M[i][i] = 1 and M[k][i] (k > i) read from row i's upper half.
-        {
-            let wd = scratch.as_slice();
-            let xd = x.as_mut_slice();
-            for i in 0..n {
-                let (lower, upper) = xd[i * n..(i + 1) * n].split_at_mut(i + 1);
-                lower.copy_from_slice(&wd[i * n..=i * n + i]);
-                let terms = ((i + 1)..n).zip(upper.iter());
-                let terms = terms
-                    .filter(|(_, &f)| f != 0.0)
-                    .map(|(k, &f)| (f, k * n, i + 1));
-                add_scaled_rows(lower, wd, terms);
-            }
-        }
+        // x's lower triangle ← Mᵀ W.
+        lower_product(x.as_mut_slice(), scratch.as_slice(), n, blocked);
         // A⁻¹[perm[i]][perm[j]] = X[i][j]: scatter the lower triangle into
-        // both triangles of the spent scratch, then hand it over as x.
+        // both triangles of the spent scratch, then hand it over as x.  For
+        // J·A⁻¹·J, entry (p, q) of A⁻¹ lands at (σp, σq), σ swapping the
+        // halves, negated when p and q share a half.
         {
+            let half = n / 2;
+            let place = |p: usize| match (conjugate, p < half) {
+                (false, _) => p,
+                (true, true) => p + half,
+                (true, false) => p - half,
+            };
             let xd = x.as_slice();
             let od = scratch.as_mut_slice();
             for i in 0..n {
                 let pi = self.perm[i];
+                let di = place(pi);
                 for j in 0..=i {
                     let pj = self.perm[j];
+                    let dj = place(pj);
                     let v = xd[i * n + j];
-                    od[pi * n + pj] = v;
-                    od[pj * n + pi] = v;
+                    let v = if conjugate && (pi < half) == (pj < half) {
+                        -v
+                    } else {
+                        v
+                    };
+                    od[di * n + dj] = v;
+                    od[dj * n + di] = v;
                 }
             }
         }
         std::mem::swap(x, scratch);
     }
+}
+
+/// Four rows of `C` accumulators for the register-blocked triangular
+/// products.
+struct Rows4<const C: usize>([[f64; C]; 4]);
+
+impl<const C: usize> Rows4<C> {
+    /// Loads `C` entries of `data` from each of the four `starts`.
+    #[inline(always)]
+    fn load(data: &[f64], starts: [usize; 4]) -> Self {
+        Rows4(starts.map(|s| {
+            let mut row = [0.0; C];
+            row.copy_from_slice(&data[s..s + C]);
+            row
+        }))
+    }
+
+    #[inline(always)]
+    fn store(&self, data: &mut [f64], starts: [usize; 4]) {
+        for (row, s) in self.0.iter().zip(starts) {
+            data[s..s + C].copy_from_slice(row);
+        }
+    }
+
+    /// `row r += c_r[t]·src_t[j0..j0 + C]` for each term `t` in order, where
+    /// `src` holds the terms' rows back to back (stride `n`) and every
+    /// coefficient is nonzero: the four rows share each load of `src`.
+    #[inline(always)]
+    fn add_terms(&mut self, coefs: [&[f64]; 4], src: &[f64], n: usize, j0: usize) {
+        let [c0, c1, c2, c3] = coefs;
+        let [a0, a1, a2, a3] = &mut self.0;
+        let terms = src.chunks_exact(n).zip(c0).zip(c1).zip(c2).zip(c3);
+        for ((((row, &x0), &x1), &x2), &x3) in terms {
+            let s = &row[j0..j0 + C];
+            for v in 0..C {
+                a0[v] += x0 * s[v];
+                a1[v] += x1 * s[v];
+                a2[v] += x2 * s[v];
+                a3[v] += x3 * s[v];
+            }
+        }
+    }
+}
+
+/// `md ← M = L⁻¹` for the unit lower triangular `L` in `ld`'s strict lower
+/// triangle, rows top-down: row i of `M` is `−Σ_{k<i} L[i][k]·M[k]` over
+/// the nonzero `L[i][k]` in ascending `k`, with `M[i][i] = 1`.
+///
+/// `blocked` takes rows four at a time: on full column blocks left of the
+/// block's first row, whose terms are the finished rows above it, the four
+/// rows share each term's load when their coefficients are all nonzero.
+/// Every element still adds the same terms one at a time in ascending `k`.
+#[inline(always)]
+fn unit_lower_inverse(ld: &[f64], md: &mut [f64], n: usize, blocked: bool) {
+    let mut i0 = 0;
+    while blocked && i0 + 4 <= n {
+        let rows = [i0, i0 + 1, i0 + 2, i0 + 3].map(|i| i * n);
+        let dense = rows
+            .iter()
+            .all(|&row| ld[row..row + i0].iter().all(|&c| c != 0.0));
+        let mut j0 = 0;
+        if dense {
+            while j0 + 8 <= i0 {
+                leading_block::<8>(ld, md, n, i0, j0);
+                j0 += 8;
+            }
+            if j0 + 4 <= i0 {
+                leading_block::<4>(ld, md, n, i0, j0);
+                j0 += 4;
+            }
+        }
+        for i in i0..i0 + 4 {
+            inverse_row(ld, md, n, i, j0, i0);
+        }
+        i0 += 4;
+    }
+    for i in i0..n {
+        inverse_row(ld, md, n, i, 0, 0);
+    }
+}
+
+/// Columns `[j0, j0 + C)` of rows `i0..i0 + 4` of `M = L⁻¹`, accumulated
+/// from zero over the terms `k < i0` (before any negation).  The terms
+/// `k < j0 + C − 1` reach only the columns `j ≤ k`, one element at a time.
+#[inline(always)]
+fn leading_block<const C: usize>(ld: &[f64], md: &mut [f64], n: usize, i0: usize, j0: usize) {
+    let rows = [i0, i0 + 1, i0 + 2, i0 + 3].map(|i| i * n);
+    let (head, rest) = md.split_at_mut(i0 * n);
+    for (r, &row) in rows.iter().enumerate() {
+        let out = &mut rest[r * n + j0..r * n + j0 + C];
+        out.fill(0.0);
+        for k in j0..j0 + C - 1 {
+            let c = ld[row + k];
+            for (o, &m) in out[..=k - j0].iter_mut().zip(&head[k * n + j0..=k * n + k]) {
+                *o += c * m;
+            }
+        }
+    }
+    let starts = [0, n, 2 * n, 3 * n].map(|s| s + j0);
+    let mut acc = Rows4::<C>::load(rest, starts);
+    let k0 = j0 + C - 1;
+    let coefs = rows.map(|row| &ld[row + k0..row + i0]);
+    acc.add_terms(coefs, &head[k0 * n..i0 * n], n, j0);
+    acc.store(rest, starts);
+}
+
+/// Finishes row `i` of `M = L⁻¹`: its columns from `j0` take every term
+/// that reaches them, its columns below `j0` (accumulated by
+/// [`leading_block`] over the terms `k < k0`) the terms from `k0` on; then
+/// the row is negated and given its unit diagonal.
+#[inline(always)]
+fn inverse_row(ld: &[f64], md: &mut [f64], n: usize, i: usize, j0: usize, k0: usize) {
+    let (head, rest) = md.split_at_mut(i * n);
+    let row = &mut rest[..n];
+    let coefs = &ld[i * n..i * n + i];
+    if j0 > 0 {
+        let terms = (k0..i)
+            .filter(|&k| coefs[k] != 0.0)
+            .map(|k| (coefs[k], k * n, j0));
+        add_scaled_rows(&mut row[..j0], head, terms);
+    }
+    let tail = &mut row[j0..];
+    tail.fill(0.0);
+    let terms = (j0..i)
+        .filter(|&k| coefs[k] != 0.0)
+        .map(|k| (coefs[k], k * n + j0, k + 1 - j0));
+    add_scaled_rows(tail, head, terms);
+    for m in row[..i].iter_mut() {
+        *m = -*m;
+    }
+    row[i] = 1.0;
+}
+
+/// `xd`'s lower triangle ← `Mᵀ W`: `X[i][..=i] = W[i][..=i] + Σ_{k>i}
+/// M[k][i]·W[k][..=i]` over the nonzero `M[k][i]` in ascending `k`, the
+/// coefficients read from row `i`'s strict upper half of `xd`.
+///
+/// `blocked` takes rows four at a time: on the full column blocks all four
+/// rows have, the terms `k ≥ i0 + 4` they share run with each load of `W`
+/// shared when the coefficients are all nonzero, after each row's own
+/// first terms.  Every element still adds the same terms one at a time in
+/// ascending `k`.
+#[inline(always)]
+fn lower_product(xd: &mut [f64], wd: &[f64], n: usize, blocked: bool) {
+    let mut i0 = 0;
+    while blocked && i0 + 4 <= n {
+        let rows = [i0, i0 + 1, i0 + 2, i0 + 3].map(|i| i * n);
+        let dense = rows
+            .iter()
+            .all(|&row| xd[row + i0 + 4..row + n].iter().all(|&c| c != 0.0));
+        let mut j0 = 0;
+        if dense {
+            while j0 + 8 <= i0 + 1 {
+                shared_block::<8>(xd, wd, n, i0, j0);
+                j0 += 8;
+            }
+            if j0 + 4 <= i0 + 1 {
+                shared_block::<4>(xd, wd, n, i0, j0);
+                j0 += 4;
+            }
+        }
+        for i in i0..i0 + 4 {
+            product_row(xd, wd, n, i, j0);
+        }
+        i0 += 4;
+    }
+    for i in i0..n {
+        product_row(xd, wd, n, i, 0);
+    }
+}
+
+/// Columns `[j0, j0 + C)` of rows `i0..i0 + 4` of `X = MᵀW`.
+#[inline(always)]
+fn shared_block<const C: usize>(xd: &mut [f64], wd: &[f64], n: usize, i0: usize, j0: usize) {
+    let rows = [i0, i0 + 1, i0 + 2, i0 + 3].map(|i| i * n);
+    let starts = rows.map(|row| row + j0);
+    let mut acc = Rows4::<C>::load(wd, starts);
+    // Each row's terms i < k < i0 + 4 come first.
+    for k in (i0 + 1)..(i0 + 4) {
+        let src = &wd[k * n + j0..k * n + j0 + C];
+        for (r, out) in acc.0.iter_mut().enumerate().take(k - i0) {
+            let c = xd[rows[r] + k];
+            if c != 0.0 {
+                for (o, &w) in out.iter_mut().zip(src) {
+                    *o += c * w;
+                }
+            }
+        }
+    }
+    let coefs = rows.map(|row| &xd[row + i0 + 4..row + n]);
+    acc.add_terms(coefs, &wd[(i0 + 4) * n..], n, j0);
+    acc.store(xd, starts);
+}
+
+/// Row `i` of `X = MᵀW` on its columns `j0..=i`.
+#[inline(always)]
+fn product_row(xd: &mut [f64], wd: &[f64], n: usize, i: usize, j0: usize) {
+    let (lower, upper) = xd[i * n..(i + 1) * n].split_at_mut(i + 1);
+    let tail = &mut lower[j0..];
+    tail.copy_from_slice(&wd[i * n + j0..=i * n + i]);
+    let terms = ((i + 1)..n).zip(upper.iter());
+    let terms = terms
+        .filter(|(_, &c)| c != 0.0)
+        .map(|(k, &c)| (c, k * n + j0, i + 1 - j0));
+    add_scaled_rows(tail, wd, terms);
 }
 
 /// Computes the Bunch–Kaufman factorization of the symmetric matrix `a`
@@ -364,7 +613,7 @@ mod tests {
         let f = factor(a)?;
         let mut x = Matrix::zeros(0, 0);
         let mut scratch = Matrix::zeros(0, 0);
-        f.inverse_into(&mut x, &mut scratch)?;
+        f.inverse_unblocked_into(&mut x, &mut scratch)?;
         Ok(x)
     }
 
@@ -417,6 +666,12 @@ mod tests {
         let x = inverse(&a).unwrap();
         assert!((&a * &x).approx_eq(&Matrix::identity(3), 1e-13));
         assert_eq!(x, x.transpose(), "inverse must be exactly symmetric");
+        // J·A⁻¹·J has no meaning at an odd order.
+        let (mut x, mut scratch) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        assert!(matches!(
+            f.conjugated_inverse_into(&mut x, &mut scratch),
+            Err(LinalgError::InvalidInput { .. })
+        ));
     }
 
     #[test]
@@ -427,7 +682,7 @@ mod tests {
         let mut x = Matrix::zeros(0, 0);
         let mut scratch = Matrix::zeros(0, 0);
         assert!(matches!(
-            f.inverse_into(&mut x, &mut scratch),
+            f.conjugated_inverse_into(&mut x, &mut scratch),
             Err(LinalgError::Singular { .. })
         ));
         assert!(factor(&Matrix::zeros(3, 3)).unwrap().singular);

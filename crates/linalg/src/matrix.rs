@@ -18,7 +18,7 @@ use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 /// assert_eq!(c, a);
 /// assert_eq!(a[(1, 0)], 3.0);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Matrix {
     rows: usize,

@@ -176,8 +176,8 @@ pub fn hamiltonian_sign_into(
             ws.lu.inverse_into_ws(&mut ws.w1, &mut ws.w2)?;
             j_mul_symmetrized(&ws.w1, &mut ws.w2, n);
         } else {
-            ws.ldlt.inverse_into(&mut ws.w1, &mut ws.w2)?;
-            conjugate_by_j(&ws.w1, &mut ws.w2, n);
+            // J S⁻¹ J straight from the inverse's permuting scatter.
+            ws.ldlt.conjugated_inverse_into(&mut ws.w2, &mut ws.w1)?;
         }
         // The step is elementwise on exactly symmetric operands, so the next
         // iterate is exactly symmetric too.
@@ -256,26 +256,6 @@ fn jt_mul_in_place(x: &mut Matrix, n: usize) {
     top.swap_with_slice(bottom);
     for v in top.iter_mut() {
         *v = -*v;
-    }
-}
-
-/// `dst ← J·X·J` for a symmetric `2n × 2n` matrix `X`:
-/// `J X J = [[−X₂₂, X₂₁], [X₁₂, −X₁₁]]`, exactly symmetric when `X` is.
-fn conjugate_by_j(x: &Matrix, dst: &mut Matrix, n: usize) {
-    let m = 2 * n;
-    dst.resize_uninit(m, m);
-    let xd = x.as_slice();
-    for (i, row) in dst.as_mut_slice().chunks_exact_mut(m).enumerate() {
-        let top = i < n;
-        let src = if top { i + n } else { i - n };
-        let (s_lo, s_hi) = xd[src * m..(src + 1) * m].split_at(n);
-        let (d_lo, d_hi) = row.split_at_mut(n);
-        for (d, &s) in d_lo.iter_mut().zip(s_hi) {
-            *d = if top { -s } else { s };
-        }
-        for (d, &s) in d_hi.iter_mut().zip(s_lo) {
-            *d = if top { s } else { -s };
-        }
     }
 }
 

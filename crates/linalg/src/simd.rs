@@ -173,11 +173,22 @@ mod tests {
                 if fast.singular {
                     continue;
                 }
-                let (mut x, mut scratch) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-                fast.inverse_into(&mut x, &mut scratch).unwrap();
-                let (mut y, mut scratch) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-                base.inverse_body(&mut y, &mut scratch);
-                assert_same_bits(&label, x.as_slice(), y.as_slice());
+                // The blocked J-conjugated kernel, and the unblocked reference.
+                for production in [true, false] {
+                    if production && n % 2 == 1 {
+                        continue;
+                    }
+                    let (mut x, mut scratch) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+                    if production {
+                        fast.conjugated_inverse_into(&mut x, &mut scratch).unwrap();
+                    } else {
+                        fast.inverse_unblocked_into(&mut x, &mut scratch).unwrap();
+                    }
+                    let (mut y, mut scratch) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+                    let blocked = production && n >= ldlt::BLOCKED_INVERSE_MIN_DIM;
+                    base.inverse_body(&mut y, &mut scratch, blocked, production);
+                    assert_same_bits(&label, x.as_slice(), y.as_slice());
+                }
             }
         }
         assert!(two_by_two, "no input took a 2×2 pivot");
@@ -226,6 +237,7 @@ mod tests {
                         &mut t_base,
                         with_q.then_some(&mut q_base),
                         &mut scratch,
+                        true,
                     );
                     assert_eq!(fast.is_ok(), base.is_ok(), "{label}");
                     assert_same_bits(&label, t_fast.as_slice(), t_base.as_slice());

@@ -49,6 +49,11 @@ pub struct ReflectorScratch {
     pub(crate) panel_w: Vec<f64>,
     /// Full-column temporary for the on-demand panel column updates.
     pub(crate) col: Vec<f64>,
+    /// The Francis iteration's deflation window, its orthogonal factor and
+    /// a row temporary for applying that factor.
+    pub(crate) window: Matrix,
+    pub(crate) window_q: Matrix,
+    pub(crate) window_row: Vec<f64>,
 }
 
 impl ReflectorScratch {
@@ -65,7 +70,10 @@ impl ReflectorScratch {
             + self.panel_t.len()
             + self.panel_u.len()
             + self.panel_w.len()
-            + self.col.len())
+            + self.col.len()
+            + self.window.as_slice().len()
+            + self.window_q.as_slice().len()
+            + self.window_row.len())
             * std::mem::size_of::<f64>()
     }
 }

@@ -67,13 +67,6 @@ pub enum LmiOutcome {
     },
 }
 
-impl LmiOutcome {
-    /// `true` when a feasible point was found.
-    pub fn is_feasible(&self) -> bool {
-        matches!(self, LmiOutcome::Feasible { .. })
-    }
-}
-
 /// The positive-real LMI attached to a specific descriptor system.
 #[derive(Debug, Clone)]
 pub struct DsPositiveRealLmi {
@@ -288,7 +281,7 @@ mod tests {
     fn passive_system_is_feasible() {
         let outcome = lmi_feasibility(&passive_rc(), &LmiOptions::default()).unwrap();
         assert!(
-            outcome.is_feasible(),
+            matches!(outcome, LmiOutcome::Feasible { .. }),
             "expected feasibility, got {outcome:?}"
         );
         if let LmiOutcome::Feasible { x, .. } = outcome {
@@ -309,7 +302,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(!outcome.is_feasible());
+        assert!(!matches!(outcome, LmiOutcome::Feasible { .. }));
     }
 
     #[test]

@@ -16,11 +16,28 @@ pub struct HamiltonianSplit {
     /// The stable block `Ã = Uᵀ A₄₄ U` (restriction of the Hamiltonian matrix
     /// to its stable invariant subspace).
     pub stable_block: Matrix,
-    /// The decoupling matrix `Y` solving `Ã Y + Y Ãᵀ + Γ = 0` for the
-    /// coupling block `Γ` in `Z₁ᵀ A₄₄ Z₁ = [[Ã, Γ], [0, −Ãᵀ]]`, read off the
-    /// converged sign function via Roberts' identity
-    /// `Z₁ᵀ sign(A₄₄) Z₁ = [[−I, 2Y], [0, I]]` — no Lyapunov solve required.
-    pub decoupling: Matrix,
+    /// The converged `sign(A₄₄)`.  Roberts' identity
+    /// `Z₁ᵀ sign(A₄₄) Z₁ = [[−I, 2Y], [0, I]]` gives the decoupling matrix
+    /// `Y = −½·Uᵀ·sign(A₄₄)·JU`, which solves `Ã Y + Y Ãᵀ + Γ = 0` for the
+    /// coupling block `Γ` in `Z₁ᵀ A₄₄ Z₁ = [[Ã, Γ], [0, −Ãᵀ]]`, with no
+    /// Lyapunov solve; [`HamiltonianSplit::decouple`] applies it.
+    pub sign: Matrix,
+}
+
+impl HamiltonianSplit {
+    /// `Y·w` for the decoupling matrix `Y` (see [`HamiltonianSplit::sign`])
+    /// and an `n × m` block `w`, as `−½·Uᵀ·(sign(A₄₄)·(J·(U·w)))`: thin
+    /// products of `O(n²m)` flops, where forming `Y` would take two
+    /// `2n × 2n × n` ones.
+    ///
+    /// # Errors
+    ///
+    /// [`ShhError::Numerical`] when `w` does not have `n` rows.
+    pub fn decouple(&self, w: &Matrix) -> Result<Matrix, ShhError> {
+        let u = &self.stable_basis;
+        let ju_w = structure::j_mul(&u.matmul(w)?)?;
+        Ok(u.transpose_matmul(&self.sign.matmul(&ju_w)?)?.scale(-0.5))
+    }
 }
 
 /// Computes the stable invariant subspace of a Hamiltonian matrix and the
@@ -71,7 +88,11 @@ pub fn hamiltonian_split(a: &Matrix, tol: f64) -> Result<HamiltonianSplit, ShhEr
         )));
     }
     let stable_dim = stable_dim as usize;
-    let p_stable = (&Matrix::identity(dim) - &sign).scale(0.5);
+    // (I − sign)/2 in one pass, with `I − sign`'s entries (`0.0 − s` off the
+    // diagonal, so an exact zero keeps its sign).
+    let p_stable = Matrix::from_fn(dim, dim, |i, j| {
+        (if i == j { 1.0 } else { 0.0 } - sign[(i, j)]) * 0.5
+    });
     // The projector has eigenvalues ≈ 0/1, so a generous relative tolerance
     // cleanly separates its range.
     let u = subspace::range_basis(&p_stable, 1e-6).map_err(ShhError::Numerical)?;
@@ -90,9 +111,14 @@ pub fn hamiltonian_split(a: &Matrix, tol: f64) -> Result<HamiltonianSplit, ShhEr
     // The range basis is SVD-U columns, orthonormal by construction — no
     // re-orthonormalization pass is needed before the isotropy check
     // (UᵀJU = 0), which holds exactly in theory for the stable Lagrangian
-    // subspace of a Hamiltonian matrix.
-    let ju = structure::j_mul(&u)?;
-    let isotropy = u.transpose_matmul(&ju)?.norm_max();
+    // subspace of a Hamiltonian matrix.  With U = [U₁; U₂],
+    // UᵀJU = U₁ᵀU₂ − U₂ᵀU₁ = X − Xᵀ for X = U₁ᵀU₂, half the flops.
+    let x = u
+        .block(0, n, 0, n)
+        .transpose_matmul(&u.block(n, dim, 0, n))?;
+    let isotropy = (0..n)
+        .flat_map(|i| (0..n).map(move |j| (i, j)))
+        .fold(0.0_f64, |m, (i, j)| m.max((x[(i, j)] - x[(j, i)]).abs()));
     if isotropy > 1e-6 * scale.max(1.0) {
         return Err(ShhError::structure(format!(
             "stable subspace is not isotropic (residual {isotropy:.2e}); \
@@ -105,22 +131,16 @@ pub fn hamiltonian_split(a: &Matrix, tol: f64) -> Result<HamiltonianSplit, ShhEr
     // structure — so neither Z₁ nor the full (2n)×(2n) congruence is formed.
     let au = a.matmul(&u)?;
     let stable_block = u.transpose_matmul(&au)?;
-    let lower_left = ju.transpose_matmul(&au)?.norm_max();
+    let lower_left = structure::j_mul(&u)?.transpose_matmul(&au)?.norm_max();
     if lower_left > 1e-6 * scale {
         return Err(ShhError::structure(format!(
             "stable subspace is not invariant (residual {lower_left:.2e})"
         )));
     }
-    // Roberts' identity: the top-right block of Z₁ᵀ sign(A₄₄) Z₁ equals 2Y for
-    // the decoupling Lyapunov solution Ã Y + Y Ãᵀ + Γ = 0. With Z₁ = [U, −JU]
-    // that block is −Uᵀ·sign(A₄₄)·JU, so Y falls out of two thin products
-    // against the already-converged sign iterate.
-    let sign_ju = sign.matmul(&ju)?;
-    let decoupling = u.transpose_matmul(&sign_ju)?.scale(-0.5);
     Ok(HamiltonianSplit {
         stable_basis: u,
         stable_block,
-        decoupling,
+        sign,
     })
 }
 
@@ -213,6 +233,28 @@ mod tests {
             assert!(all
                 .iter()
                 .any(|w| (w.re - z.re).abs() < 1e-6 && (w.im - z.im).abs() < 1e-6));
+        }
+    }
+
+    #[test]
+    fn decouple_matches_the_explicit_decoupling_matrix() {
+        for (n, seed) in [(3, 5), (4, 3)] {
+            let h = stable_hamiltonian(n, seed);
+            let split = hamiltonian_split(&h, 1e-9).unwrap();
+            let u = &split.stable_basis;
+            let ju = structure::j_mul(u).unwrap();
+            let y = u
+                .transpose_matmul(&(&split.sign * &ju))
+                .unwrap()
+                .scale(-0.5);
+            let w = Matrix::from_fn(n, 3, |i, j| ((i * 5 + j * 11) % 7) as f64 - 3.0);
+            let want = &y * &w;
+            let got = split.decouple(&w).unwrap();
+            assert!(
+                got.approx_eq(&want, 1e-10 * want.norm_max().max(1.0)),
+                "n = {n}: Y·w differs by {:.3e}",
+                (&got - &want).norm_max()
+            );
         }
     }
 

@@ -619,36 +619,50 @@ mod tests {
 
     #[test]
     fn overlapped_stage_spans_cover_the_method_span() {
-        // 2n_p = 194: with a spare core, a helper computes the zeros of Φ
-        // beside the split.
+        // 2n_p = 194: when a core is idle, a helper computes the zeros of Φ
+        // beside the split.  Other tests of this binary run checks on the
+        // other test threads, and a check in flight takes a core, so the
+        // check repeats until it finds one idle (every run must place its
+        // zeros consistently).
         let model = generators::rlc_ladder_with_impulsive(100).unwrap();
-        let (outcome, trace) = traced(PassivityCheck::model(model));
-        assert_eq!(outcome.passive, Some(true));
-        let method = trace.spans.iter().find(|s| s.name == "method").unwrap();
-        let stages: Vec<_> = trace
-            .spans
-            .iter()
-            .filter(|s| s.parent == Some(method.seq))
-            .collect();
-        let names: Vec<&str> = stages.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, ds_obs::STAGES[2..]);
-        let covered: u64 = stages.iter().map(|s| s.elapsed_ns).sum();
-        let share = covered as f64 / method.elapsed_ns as f64;
-        assert!(
-            (0.99..=1.0).contains(&share),
-            "stages cover {share:.4} of `method`"
-        );
-        let zeros: Vec<_> = trace.spans.iter().filter(|s| s.name == "zeros").collect();
-        assert_eq!(zeros.len(), 1, "one eigensolve");
-        let zeros = zeros[0];
-        let stage = |name: &str| *stages.iter().find(|s| s.name == name).unwrap();
-        if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
+        let multicore = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        loop {
+            let (outcome, trace) = traced(PassivityCheck::model(model.clone()));
+            assert_eq!(outcome.passive, Some(true));
+            let method = trace.spans.iter().find(|s| s.name == "method").unwrap();
+            let stages: Vec<_> = trace
+                .spans
+                .iter()
+                .filter(|s| s.parent == Some(method.seq))
+                .collect();
+            let names: Vec<&str> = stages.iter().map(|s| s.name.as_str()).collect();
+            assert_eq!(names, ds_obs::STAGES[2..]);
+            let covered: u64 = stages.iter().map(|s| s.elapsed_ns).sum();
+            let share = covered as f64 / method.elapsed_ns as f64;
+            assert!(
+                (0.99..=1.0).contains(&share),
+                "stages cover {share:.4} of `method`"
+            );
+            let zeros: Vec<_> = trace.spans.iter().filter(|s| s.name == "zeros").collect();
+            assert_eq!(zeros.len(), 1, "one eigensolve");
+            let zeros = zeros[0];
+            let stage = |name: &str| *stages.iter().find(|s| s.name == name).unwrap();
             let split = stage("split");
-            assert_eq!(zeros.parent, Some(split.seq));
-            assert!(zeros.start_ns >= split.start_ns);
-            assert!(zeros.start_ns + zeros.elapsed_ns <= split.start_ns + split.elapsed_ns);
-        } else {
+            if zeros.parent == Some(split.seq) {
+                assert!(multicore);
+                assert!(zeros.start_ns >= split.start_ns);
+                assert!(zeros.start_ns + zeros.elapsed_ns <= split.start_ns + split.elapsed_ns);
+                break;
+            }
             assert_eq!(zeros.parent, Some(stage("pr_test").seq));
+            if !multicore {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "no run found an idle core for the zeros helper in 60 s"
+            );
         }
     }
 

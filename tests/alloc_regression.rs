@@ -2,7 +2,8 @@
 //!
 //! A counting global allocator wraps the system allocator; the `_in` eigen
 //! kernels (Hessenberg / Francis QR, LU, Bunch–Kaufman `LDLᵀ`, the general and
-//! the structured sign iteration, matmul-into) are run
+//! the structured sign iteration, matmul-into), below and above the order
+//! where the blocked inverse and the deflation windows engage, are run
 //! once to warm a [`WorkspacePool`] and then again in steady state, where the
 //! second pass must perform **zero** heap allocations.  A second test pins the
 //! harness-level effect: the second identical passivity task on a thread must
@@ -125,7 +126,7 @@ fn eigen_kernels_are_allocation_free_in_steady_state() {
         sign::matrix_sign_into(&a, &SignOptions::default(), pool.get(n), &mut sign_out).unwrap();
         ldlt::factor_into(&symmetric, &mut factor_ldlt).unwrap();
         factor_ldlt
-            .inverse_into(&mut inverse, &mut ldlt_scratch)
+            .conjugated_inverse_into(&mut inverse, &mut ldlt_scratch)
             .unwrap();
         sign::hamiltonian_sign_into(
             &hamiltonian,
@@ -156,6 +157,67 @@ fn eigen_kernels_are_allocation_free_in_steady_state() {
         .iter()
         .all(|&x| x.is_finite() && x < 0.5));
     assert!((&hamiltonian_sign_out * &hamiltonian_sign_out).approx_eq(&Matrix::identity(n), 1e-8));
+}
+
+#[test]
+fn blocked_and_windowed_kernels_are_allocation_free_in_steady_state() {
+    // From order 128 the `LDLᵀ` inverse runs register-blocked and the
+    // Francis iteration opens deflation windows, all in workspace buffers.
+    let _guard = SERIALIZE
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let n = 160;
+    let half = n / 2;
+    let a = stable_matrix(n);
+    let a_half = stable_matrix(half);
+    let identity = Matrix::identity(half).scale(-1.0);
+    let hamiltonian = Matrix::from_blocks_2x2(
+        &a_half,
+        &identity,
+        &identity,
+        &a_half.transpose().scale(-1.0),
+    );
+    let symmetric = Matrix::from_blocks_2x2(
+        &identity,
+        &a_half.transpose().scale(-1.0),
+        &a_half.scale(-1.0),
+        &identity,
+    );
+    let mut pool = WorkspacePool::new();
+    let mut evals: Vec<Complex> = Vec::with_capacity(n);
+    let (mut h, mut q) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
+    let mut refl = ReflectorScratch::new();
+    let mut factor = ldlt::Ldlt::empty();
+    let (mut inverse, mut scratch) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
+    let mut sign_out = Matrix::zeros(n, n);
+    let mut run_all = |pool: &mut WorkspacePool| {
+        eigen::eigenvalues_into(&a, pool.get(n), &mut evals).unwrap();
+        h.copy_from(&a);
+        schur::real_schur_in(&mut h, Some(&mut q), &mut refl).unwrap();
+        ldlt::factor_into(&symmetric, &mut factor).unwrap();
+        factor
+            .conjugated_inverse_into(&mut inverse, &mut scratch)
+            .unwrap();
+        sign::hamiltonian_sign_into(
+            &hamiltonian,
+            &SignOptions::default(),
+            pool.get(n),
+            &mut sign_out,
+        )
+        .unwrap();
+    };
+    run_all(&mut pool);
+    let before = allocations();
+    run_all(&mut pool);
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state blocked kernels performed {} heap allocations",
+        after - before
+    );
+    assert_eq!(evals.len(), n);
+    assert!((&sign_out * &sign_out).approx_eq(&Matrix::identity(n), 1e-8));
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! on the same input — including the defective Jordan chains and rotation
 //! blocks that stress the downstream QR iteration hardest.
 
-use ds_linalg::decomp::{hessenberg, qr};
+use ds_linalg::decomp::{hessenberg, qr, schur};
 use ds_linalg::eigen;
 use ds_linalg::workspace::ReflectorScratch;
 use ds_linalg::{Complex, Matrix};
@@ -128,6 +128,67 @@ fn rotation_like_complex_pairs() {
     let refs: Vec<&Matrix> = blocks.iter().collect();
     let a = Matrix::block_diag(&refs);
     assert_blocked_paths_agree(&a, 1e-6);
+}
+
+/// The largest distance between the eigenvalues of `a` and `b` after pairing
+/// each of `a`'s (sorted) with the nearest unpaired one of `b`.
+fn spectral_distance(a: Vec<Complex>, b: &[Complex]) -> f64 {
+    assert_eq!(a.len(), b.len());
+    let mut free = b.to_vec();
+    let mut worst = 0.0_f64;
+    for x in sorted(a) {
+        let (at, distance) = free
+            .iter()
+            .map(|y| (x.re - y.re).hypot(x.im - y.im))
+            .enumerate()
+            .min_by(|p, q| p.1.total_cmp(&q.1))
+            .unwrap();
+        free.swap_remove(at);
+        worst = worst.max(distance);
+    }
+    worst
+}
+
+/// Eigenvalues through the classic Francis iteration, with no deflation
+/// window at any order.
+fn classic_eigenvalues(a: &Matrix) -> Vec<Complex> {
+    let mut t = a.clone();
+    schur::real_schur_classic_in(&mut t, None, &mut ReflectorScratch::new()).unwrap();
+    eigen::eigenvalues_from_schur(&t)
+}
+
+#[test]
+fn aggressive_deflation_agrees_with_the_classic_iteration() {
+    // The zero matrix of the order-200 Table-1 ladder (2n_p = 394), where
+    // the zeros of Φ are computed, and random matrices from the threshold
+    // up.
+    let model = ds_circuits::generators::rlc_ladder_with_impulsive(200).unwrap();
+    let tol = ds_passivity::fast::FastTestOptions::default().rel_tol;
+    let phi = ds_shh::pencil::build_phi(&model.system).unwrap();
+    let cancelled = ds_passivity::reduction::cancel_impulsive_modes(&phi, tol).unwrap();
+    let removed =
+        ds_passivity::reduction::remove_nondynamic_modes(&cancelled.reduced, tol).unwrap();
+    let restored = ds_passivity::reduction::restore_shh(&removed.reduced).unwrap();
+    let regular = ds_passivity::proper::regularize(&restored.system, tol).unwrap();
+    let mut inputs = vec![ds_passivity::proper::zero_matrix(&regular).unwrap()];
+    for (n, seed) in [(schur::AED_MIN_DIM, 5u64), (170, 6), (256, 7)] {
+        inputs.push(Matrix::from_fn(n, n, |i, j| {
+            let base = (i as u64)
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add((j as u64).wrapping_mul(1442695040888963407))
+                .wrapping_add(seed);
+            ((base ^ (base >> 31)) % 2001) as f64 / 1000.0 - 1.0
+        }));
+    }
+    for a in &inputs {
+        let n = a.rows();
+        let distance = spectral_distance(eigen::eigenvalues(a).unwrap(), &classic_eigenvalues(a));
+        let bound = 1e-9 * a.norm_fro();
+        assert!(
+            distance <= bound,
+            "n={n}: windowed and classic spectra differ by {distance:.3e} > {bound:.3e}"
+        );
+    }
 }
 
 proptest! {

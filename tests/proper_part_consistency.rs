@@ -72,3 +72,20 @@ fn m1_matches_high_frequency_sampling() {
         sampled[(0, 0)]
     );
 }
+
+#[test]
+fn scaled_negative_resistance_deck_is_rejected() {
+    // A ladder behind a negative series R (Re Z(0) < 0, so not passive),
+    // scaled to on-chip values (α = 1e6, order 58).  Its proper part fits G
+    // at the Markov probes only to roundoff: at σ = 3·10⁴ the symmetric
+    // mismatch reads 2.03e-4 against the probe's 1.91e-4 limit with `B_p`
+    // from `HamiltonianSplit::decouple`, and 1.70e-4 with `B_p` from an
+    // explicitly formed `Y`, which accepted the deck as passive.  A change
+    // that moves `B_p`'s last bits must not flip the verdict back unseen.
+    let deck = include_str!("fixtures/negative_r_o58_a1e6.cir");
+    let outcome = ds_passivity_suite::PassivityCheck::deck_text(deck)
+        .run()
+        .unwrap();
+    assert_eq!(outcome.passive, Some(false), "{}", outcome.reason);
+    assert_eq!(outcome.reason, "higher_order_markov");
+}

@@ -8,7 +8,7 @@
 //! paths is a bug.
 
 use ds_linalg::decomp::hessenberg::BLOCKED_MIN_DIM;
-use ds_linalg::decomp::schur::real_schur;
+use ds_linalg::decomp::schur::{real_schur, AED_MIN_DIM};
 use ds_linalg::eigen;
 use ds_linalg::workspace::WorkspacePool;
 use ds_linalg::{Complex, Matrix};
@@ -128,6 +128,46 @@ fn hamiltonian_shaped_matrix() {
     let lower = Matrix::hstack(&[&q, &a.transpose().scale(-1.0)]);
     let h = Matrix::vstack(&[&upper, &lower]);
     assert_paths_agree(&h);
+}
+
+#[test]
+fn aggressive_deflation_windows_keep_the_paths_identical() {
+    // From `AED_MIN_DIM` up each iteration first deflates on a trailing
+    // window; the eigenvalues-only path updates the rows above the window
+    // from the active block's first row only, and must still agree bit for
+    // bit.
+    for (n, seed) in [(AED_MIN_DIM, 1u64), (AED_MIN_DIM + 1, 2), (200, 3)] {
+        let a = Matrix::from_fn(n, n, |i, j| {
+            let base = (i as u64)
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add((j as u64).wrapping_mul(1442695040888963407))
+                .wrapping_add(seed);
+            let unit = ((base ^ (base >> 29)) % 1_000_003) as f64 / 1_000_003.0;
+            unit - 0.5
+                + if i == j {
+                    0.1 * i as f64 / n as f64
+                } else {
+                    0.0
+                }
+        });
+        assert_paths_agree(&a);
+    }
+    // A Hamiltonian of the passivity hot path's shape at 2n = 160.
+    let half = 80;
+    let a = Matrix::from_fn(half, half, |i, j| {
+        if i == j {
+            -1.0 - 0.02 * i as f64
+        } else {
+            0.05 * (((i * 3 + j * 5) % 7) as f64 - 3.0)
+        }
+    });
+    let g = Matrix::from_fn(half, half, |i, j| ((i * 7 + j * 3) % 6) as f64 * 0.02);
+    let g = &(&g * &g.transpose()) + &Matrix::identity(half).scale(0.4);
+    let q = Matrix::from_fn(half, half, |i, j| ((i + 2 * j) % 4) as f64 * 0.02);
+    let q = &(&q.transpose() * &q) + &Matrix::identity(half).scale(0.2);
+    let upper = Matrix::hstack(&[&a, &g.scale(-1.0)]);
+    let lower = Matrix::hstack(&[&q, &a.transpose().scale(-1.0)]);
+    assert_paths_agree(&Matrix::vstack(&[&upper, &lower]));
 }
 
 proptest! {

@@ -1,8 +1,9 @@
 //! The structured sign path against the general one: the Bunch–Kaufman
 //! `LDLᵀ` kernel must invert symmetric indefinite matrices and flag exactly
-//! singular ones, Byers' iteration on `J·Z` must reproduce the general
-//! Newton sign iteration (same iteration counts to within one, agreeing
-//! signs, an exactly symmetric `J·sign(H)`), and on badly scaled decks its
+//! singular ones (its register-blocked inverse bit for bit as the unblocked
+//! one), Byers' iteration on `J·Z` must reproduce the general Newton sign
+//! iteration (same iteration counts to within one, agreeing signs, an
+//! exactly symmetric `J·sign(H)`), and on badly scaled decks its
 //! singular-iterate decision must follow the LU test it replaced.
 
 use ds_circuits::mna;
@@ -65,7 +66,7 @@ fn inverse(s: &Matrix) -> Result<Matrix, LinalgError> {
     let f = ldlt::factor(s)?;
     let mut x = Matrix::zeros(0, 0);
     let mut scratch = Matrix::zeros(0, 0);
-    f.inverse_into(&mut x, &mut scratch)?;
+    f.inverse_unblocked_into(&mut x, &mut scratch)?;
     Ok(x)
 }
 
@@ -283,4 +284,117 @@ fn flagged_ldlt_pivots_are_confirmed_by_the_lu_test_on_badly_scaled_decks() {
         );
         assert_eq!(unstable, lu_singular, "{what}: {report:?}");
     }
+}
+
+/// The inverse's entries, bit for bit.
+fn same_bits(x: &Matrix, y: &Matrix) -> bool {
+    x.shape() == y.shape()
+        && x.as_slice()
+            .iter()
+            .zip(y.as_slice())
+            .all(|(a, b)| a.to_bits() == b.to_bits())
+}
+
+/// The order-200 Table-1 ladder's `A₄₄` (2n_p = 394).
+fn ladder_a44() -> Matrix {
+    let model = ds_circuits::generators::rlc_ladder_with_impulsive(200).unwrap();
+    let tol = fast::FastTestOptions::default().rel_tol;
+    let phi = build_phi(&model.system).unwrap();
+    let cancelled = reduction::cancel_impulsive_modes(&phi, tol).unwrap();
+    let removed = reduction::remove_nondynamic_modes(&cancelled.reduced, tol).unwrap();
+    let restored = reduction::restore_shh(&removed.reduced).unwrap();
+    proper::regularize(&restored.system, tol).unwrap().a44
+}
+
+/// `J·X·J` for `J = [[0, I], [−I, 0]]`, entry by entry.
+fn conjugated_by_j(x: &Matrix) -> Matrix {
+    let n = x.rows();
+    let h = n / 2;
+    Matrix::from_fn(n, n, |i, j| {
+        let v = x[((i + h) % n, (j + h) % n)];
+        if (i < h) == (j < h) {
+            -v
+        } else {
+            v
+        }
+    })
+}
+
+#[test]
+fn blocked_inverse_matches_the_unblocked_one_bit_for_bit() {
+    // J·sign(A₄₄) of the ladder takes 2×2 pivots only, like every iterate
+    // of its sign iteration.
+    let ladder =
+        structure::j_mul(&sign::hamiltonian_sign(&ladder_a44(), &SignOptions::default()).unwrap())
+            .unwrap();
+    // The orders the blocked products run at (from 128), with a two-row
+    // tail at 130 and 394.
+    let orders = [128usize, 130, 200, 394];
+    let (mut two_by_two, mut mixed, mut flagged) = (0, 0, 0);
+    for n in orders {
+        // J·H of a Riccati Hamiltonian, the ladder's iterate at 394.
+        let structured = if n == 394 {
+            ladder.clone()
+        } else {
+            let h = random_hamiltonian(n / 2, n as u64, 0.5);
+            structure::j_mul(&h).unwrap().symmetric_part()
+        };
+        // A mix of 1×1 and 2×2 pivots, and a zero row and column.
+        let random = random_symmetric(n, 3 * n as u64, false);
+        let mut singular = random_symmetric(n, 5 * n as u64, false);
+        for j in 0..n {
+            singular[(n / 3, j)] = 0.0;
+            singular[(j, n / 3)] = 0.0;
+        }
+        for (what, s) in [
+            ("J·H", structured),
+            ("random", random),
+            ("flagged", singular),
+        ] {
+            let f = ldlt::factor(&s).unwrap();
+            let blocks = f.e.iter().filter(|&&e| e != 0.0).count();
+            let (mut x, mut y, mut scratch) = (
+                Matrix::zeros(0, 0),
+                Matrix::zeros(0, 0),
+                Matrix::zeros(0, 0),
+            );
+            let blocked = f.conjugated_inverse_into(&mut x, &mut scratch);
+            let unblocked = f.inverse_unblocked_into(&mut y, &mut scratch);
+            if f.singular {
+                assert!(blocked.is_err() && unblocked.is_err(), "n={n} {what}");
+                flagged += 1;
+                continue;
+            }
+            blocked.unwrap();
+            unblocked.unwrap();
+            assert!(
+                same_bits(&x, &conjugated_by_j(&y)),
+                "n={n} {what}: inverses differ"
+            );
+            if 2 * blocks == n {
+                two_by_two += 1;
+            } else if blocks > 0 {
+                mixed += 1;
+            }
+        }
+    }
+    assert!(
+        two_by_two >= 1 && mixed >= 3 && flagged == orders.len(),
+        "{two_by_two} all-2×2, {mixed} mixed, {flagged} flagged inputs"
+    );
+}
+
+#[test]
+fn structured_sign_takes_eleven_steps_on_the_order_200_ladder() {
+    // Every pivot of the iterates is 2×2, and the iteration count is what
+    // the timing assumes.
+    let a44 = ladder_a44();
+    assert_eq!(a44.rows(), 394);
+    let mut pool = WorkspacePool::new();
+    let mut out = Matrix::zeros(0, 0);
+    let steps = sign::hamiltonian_sign_into(&a44, &SignOptions::default(), pool.get(394), &mut out)
+        .unwrap();
+    assert_eq!(steps, 11);
+    let f = ldlt::factor(&structure::j_mul(&out).unwrap()).unwrap();
+    assert_eq!(f.e.iter().filter(|&&e| e != 0.0).count(), 197);
 }

@@ -3,10 +3,11 @@
 //!
 //! `check_passivity` classifies the eigenvalues of the zero matrix
 //! `Z = A₄₄ − B₄₄R⁻¹C₄₄` (on a helper thread beside the split once
-//! `2n_p ≥ 128`), while `test_positive_real` builds `M` from the proper part
-//! the split returns.  `Φ = G_p + G_p~`, so the two are similar: their
-//! spectra must match, and `check_passivity` must reach the verdict of the
-//! public stages run in sequence, on both sides of the threshold.
+//! `2n_p ≥ 128` and a core is idle), while `test_positive_real` builds `M`
+//! from the proper part the split returns.  `Φ = G_p + G_p~`, so the two
+//! are similar: their spectra must match, and `check_passivity` must reach
+//! the verdict of the public stages run in sequence, on both sides of the
+//! threshold.
 
 use ds_circuits::generators;
 use ds_circuits::multiport;
