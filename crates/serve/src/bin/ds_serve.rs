@@ -12,10 +12,12 @@
 //! * `--workers N` — worker-pool size (default: available parallelism);
 //! * `--queue N` — bounded queue capacity, beyond which `/check` answers
 //!   429 (default 64);
-//! * `--cache N` — in-memory LRU capacity in entries (default 1024);
+//! * `--cache N` — in-memory LRU capacity in entries (default 1024), and
+//!   the most request bodies the memo of parsed decks keeps;
 //! * `--store DIR` — persistent result store shared with `ds-sweep`
 //!   (default: none — memory-only);
-//! * `--max-body BYTES` — request-body cap (default 1 MiB).
+//! * `--max-body BYTES` — request-body cap (default 1 MiB), and the most
+//!   body text the memo of parsed decks keeps in total.
 //!
 //! SIGINT/SIGTERM (or `POST /shutdown`) trigger graceful shutdown: the
 //! queue drains, the store segment flushes, and the process exits 0.

@@ -47,13 +47,17 @@ pub fn request(
     let mut writer = stream
         .try_clone()
         .map_err(|e| format!("cloning stream: {e}"))?;
+    // The request line, headers and body go out in one write.
     let payload = body.unwrap_or("");
-    write!(
-        writer,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
+    let mut request = format!(
+        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         payload.len()
     )
-    .map_err(|e| format!("writing request: {e}"))?;
+    .into_bytes();
+    request.extend_from_slice(payload.as_bytes());
+    writer
+        .write_all(&request)
+        .map_err(|e| format!("writing request: {e}"))?;
     writer.flush().map_err(|e| format!("flushing: {e}"))?;
 
     let mut reader = BufReader::new(stream);

@@ -227,14 +227,16 @@ impl Response {
         self
     }
 
-    /// Serializes the response to the stream.
+    /// Serializes the response to the stream: status line, headers and body
+    /// go out in one buffer through one `write_all`, not a write per piece.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures from the underlying writer.
     pub fn write_to(&self, writer: &mut impl Write) -> std::io::Result<()> {
+        let mut out = Vec::with_capacity(256 + self.body.len());
         write!(
-            writer,
+            out,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
             self.status,
             status_text(self.status),
@@ -242,10 +244,11 @@ impl Response {
             self.body.len()
         )?;
         for (name, value) in &self.headers {
-            write!(writer, "{name}: {value}\r\n")?;
+            write!(out, "{name}: {value}\r\n")?;
         }
-        writer.write_all(b"\r\n")?;
-        writer.write_all(&self.body)?;
+        out.extend_from_slice(b"\r\n");
+        out.extend_from_slice(&self.body);
+        writer.write_all(&out)?;
         writer.flush()
     }
 }
@@ -343,6 +346,63 @@ mod tests {
         assert!(text.contains("Retry-After: 1\r\n"));
         assert!(text.contains("Content-Type: application/json\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
+    }
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_response_goes_out_in_one_write_with_unchanged_bytes() {
+        let verdict = "{\"passive\":true}";
+        let cases = [
+            (
+                Response::json(200, verdict)
+                    .with_header("X-Cache", "hit")
+                    .with_header("X-Deck-Hash", "00c0ffee00c0ffee")
+                    .with_header("X-Trace-Id", "t-42"),
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 16\r\n\
+                 Connection: close\r\nX-Cache: hit\r\nX-Deck-Hash: 00c0ffee00c0ffee\r\n\
+                 X-Trace-Id: t-42\r\n\r\n{\"passive\":true}",
+            ),
+            (
+                Response::json(400, "{\"kind\":\"parse\",\"line\":1,\"column\":9}"),
+                "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n\
+                 Content-Length: 36\r\nConnection: close\r\n\r\n\
+                 {\"kind\":\"parse\",\"line\":1,\"column\":9}",
+            ),
+            (
+                Response::json(429, "{}").with_header("Retry-After", "1"),
+                "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\n\
+                 Content-Length: 2\r\nConnection: close\r\nRetry-After: 1\r\n\r\n{}",
+            ),
+            (
+                Response::text(200, "text/plain; charset=utf-8", ""),
+                "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\n\
+                 Content-Length: 0\r\nConnection: close\r\n\r\n",
+            ),
+        ];
+        for (response, expected) in cases {
+            let mut out = CountingWriter::default();
+            response.write_to(&mut out).unwrap();
+            assert_eq!(String::from_utf8(out.bytes).unwrap(), expected);
+            assert_eq!(out.writes, 1, "status {}", response.status);
+        }
     }
 
     #[test]

@@ -32,13 +32,14 @@
 //! artifacts are rewritten, so a restarted server answers every verdict it
 //! ever computed from its store tier.
 
+use crate::cache::LruCache;
 use crate::http::{read_request, Request, RequestError, Response};
 use crate::service::{error_response, CheckJob, CheckReply, CheckService, SubmitError};
 use ds_obs::metrics::names;
 use ds_passivity_suite::harness::json;
 use ds_passivity_suite::harness::sync::{lock_infallible, wait_timeout_infallible};
 use ds_passivity_suite::harness::Method;
-use ds_passivity_suite::netlist::parse_deck;
+use ds_passivity_suite::netlist::{parse_deck, Deck};
 use ds_passivity_suite::{SuiteError, REPORT_SCHEMA};
 use std::io::{BufReader, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -57,11 +58,13 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded queue capacity; submissions beyond it answer 429.
     pub queue_capacity: usize,
-    /// In-memory LRU capacity (entries).
+    /// In-memory LRU capacity (entries); also the most request bodies the
+    /// memo of parsed decks keeps.
     pub cache_capacity: usize,
     /// Persistent result-store directory (`None` = memory-only).
     pub store_dir: Option<PathBuf>,
-    /// Maximum accepted request-body size in bytes.
+    /// Maximum accepted request-body size in bytes; also the most body text
+    /// the memo of parsed decks keeps in total.
     pub max_body_bytes: usize,
 }
 
@@ -97,10 +100,20 @@ impl Shutdown {
     }
 }
 
+/// A request body's parsed deck and canonical hash ([`Deck::content_hash`]).
+struct ParsedDeck {
+    deck: Deck,
+    hash: u64,
+}
+
 struct Ctx {
     service: CheckService,
     shutdown: Arc<Shutdown>,
     max_body_bytes: usize,
+    /// Parsed decks keyed by the exact request body, so a byte-identical
+    /// repeat skips the parser and the canonical render; at most
+    /// `cache_capacity` bodies totalling at most `max_body_bytes`.
+    deck_memo: Mutex<LruCache<Arc<ParsedDeck>>>,
 }
 
 /// A running daemon; dropped handles keep serving until [`Server::stop`].
@@ -135,6 +148,10 @@ impl Server {
             service,
             shutdown: Arc::clone(&shutdown),
             max_body_bytes: config.max_body_bytes,
+            deck_memo: Mutex::new(LruCache::with_key_budget(
+                config.cache_capacity,
+                config.max_body_bytes,
+            )),
         });
         let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let accept_handle = {
@@ -402,17 +419,31 @@ fn check(request: &Request, ctx: &Ctx) -> Response {
             )
         }
     };
-    let deck = match parse_deck(text) {
-        Ok(deck) => deck,
-        Err(parse_error) => {
-            let (status, body) = error_response(&SuiteError::from(parse_error));
-            return Response::json(status, body);
+    // A statement of its own, so the guard is dropped before the parse and
+    // before `put` takes the lock again.
+    let memoized = lock_infallible(&ctx.deck_memo).get(text);
+    let parsed = match memoized {
+        Some(parsed) => {
+            ctx.service.observe_deck_memo_hit();
+            parsed
         }
+        None => match parse_deck(text) {
+            Ok(deck) => {
+                let hash = deck.content_hash();
+                let parsed = Arc::new(ParsedDeck { deck, hash });
+                lock_infallible(&ctx.deck_memo).put(text, Arc::clone(&parsed));
+                parsed
+            }
+            Err(parse_error) => {
+                let (status, body) = error_response(&SuiteError::from(parse_error));
+                return Response::json(status, body);
+            }
+        },
     };
-    let hash = deck.content_hash();
+    let hash = parsed.hash;
     let job = CheckJob {
         name: format!("{hash:016x}"),
-        deck,
+        deck: parsed.deck.clone(),
         method,
         repair,
         reduce,

@@ -37,6 +37,10 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 /// Version tag of the `/stats` response body.
 pub const STATS_SCHEMA: &str = "ds-serve-stats/v1";
 
+/// Prometheus counter of `/check` requests whose deck came from the
+/// daemon's memo of parsed request bodies.
+pub const DECK_MEMO_HITS_TOTAL: &str = "ds_serve_deck_memo_hits_total";
+
 /// Pending store records are flushed to a segment once this many accumulate
 /// (and unconditionally on shutdown).
 pub const FLUSH_THRESHOLD: usize = 64;
@@ -157,12 +161,17 @@ pub struct ServiceStats {
     /// Jobs answered 503 because shutdown drained them (workers = 0 only;
     /// with workers the queue is drained by computing, not discarding).
     pub drained: AtomicU64,
+    /// `/check` requests whose deck came from the daemon's memo of parsed
+    /// request bodies instead of the parser (not a verdict tier: such a
+    /// request is still answered by one of the tiers above).
+    pub deck_memo_hits: AtomicU64,
 }
 
 /// Handles into the process-wide [`ds_obs::metrics::global`] registry; one
 /// set per service, but names are shared, so a second service in the same
 /// process (tests) accumulates into the same series.
 struct Metrics {
+    deck_memo_hits: Arc<Counter>,
     hits_memory: Arc<Counter>,
     hits_store: Arc<Counter>,
     coalesced: Arc<Counter>,
@@ -186,6 +195,11 @@ impl Metrics {
             )
         };
         Metrics {
+            deck_memo_hits: reg.counter(
+                DECK_MEMO_HITS_TOTAL,
+                "/check requests whose deck came from the parse memo",
+                None,
+            ),
             hits_memory: hits("memory"),
             hits_store: hits("store"),
             coalesced: hits("coalesced"),
@@ -232,7 +246,7 @@ struct Inner {
     queue_capacity: usize,
     workers: usize,
     shutdown: AtomicBool,
-    cache: Mutex<LruCache>,
+    cache: Mutex<LruCache<String>>,
     inflight: Mutex<HashMap<String, Vec<Waiter>>>,
     store: Option<Mutex<StoreState>>,
     stats: ServiceStats,
@@ -511,7 +525,7 @@ impl CheckService {
             }
         };
         format!(
-            "{{\"schema\":{},\"checks\":{},\"hits_memory\":{},\"hits_store\":{},\"coalesced\":{},\"computed\":{},\"rejected\":{},\"errors\":{},\"drained\":{},\"queue_depth\":{queue_depth},\"queue_capacity\":{},\"workers\":{},\"cache_entries\":{cache_entries},\"store_records\":{},\"check_latency_ms\":{{\"count\":{},\"p50\":{:.3},\"p90\":{:.3},\"p99\":{:.3}}}}}",
+            "{{\"schema\":{},\"checks\":{},\"hits_memory\":{},\"hits_store\":{},\"coalesced\":{},\"computed\":{},\"rejected\":{},\"errors\":{},\"drained\":{},\"deck_memo_hits\":{},\"queue_depth\":{queue_depth},\"queue_capacity\":{},\"workers\":{},\"cache_entries\":{cache_entries},\"store_records\":{},\"check_latency_ms\":{{\"count\":{},\"p50\":{:.3},\"p90\":{:.3},\"p99\":{:.3}}}}}",
             json::quote(STATS_SCHEMA),
             stats.checks.load(Ordering::Relaxed),
             stats.hits_memory.load(Ordering::Relaxed),
@@ -521,6 +535,7 @@ impl CheckService {
             stats.rejected.load(Ordering::Relaxed),
             stats.errors.load(Ordering::Relaxed),
             stats.drained.load(Ordering::Relaxed),
+            stats.deck_memo_hits.load(Ordering::Relaxed),
             inner.queue_capacity,
             inner.workers,
             json::opt_usize(store_records),
@@ -538,6 +553,16 @@ impl CheckService {
             .metrics
             .check_seconds
             .observe(elapsed.as_secs_f64());
+    }
+
+    /// Counts one `/check` request whose deck the daemon took from its memo
+    /// of parsed request bodies instead of parsing it.
+    pub fn observe_deck_memo_hit(&self) {
+        self.inner
+            .stats
+            .deck_memo_hits
+            .fetch_add(1, Ordering::Relaxed);
+        self.inner.metrics.deck_memo_hits.inc();
     }
 }
 

@@ -3,7 +3,7 @@
 //! concurrency, and byte-identity with the sweep engine.
 
 use ds_passivity_suite::harness::scenario::Scenario;
-use ds_passivity_suite::harness::{run_sweep, Method, SweepSpec, SweepTask};
+use ds_passivity_suite::harness::{json, run_sweep, Method, SweepSpec, SweepTask};
 use ds_passivity_suite::netlist::parse_deck;
 use ds_passivity_suite::CheckOutcome;
 use ds_serve::{client, Server, ServerConfig};
@@ -40,6 +40,17 @@ fn temp_dir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// The `/stats` counter of `/check` requests whose deck came from the
+/// daemon's memo of parsed request bodies.
+fn deck_memo_hits(server: &Server) -> f64 {
+    let stats = server.stats_json();
+    json::parse(&stats)
+        .unwrap()
+        .get("deck_memo_hits")
+        .and_then(json::Value::as_f64)
+        .unwrap_or_else(|| panic!("no deck_memo_hits in /stats: {stats}"))
 }
 
 fn decks_dir() -> PathBuf {
@@ -154,11 +165,44 @@ fn reformatted_deck_is_a_memory_cache_hit() {
     assert_eq!(first.status, 200, "body: {}", first.body);
     assert_eq!(first.header("x-cache"), Some("miss"));
 
+    // Different bytes: the memo of parsed bodies cannot answer, the parser
+    // runs, and the canonical hash still finds the verdict in memory.
     let second = client::post(addr, "/check", DECK_REFORMATTED).unwrap();
     assert_eq!(second.status, 200);
     assert_eq!(second.header("x-cache"), Some("hit"));
     assert_eq!(second.body, first.body, "cache hit must be byte-identical");
     assert_eq!(second.header("x-deck-hash"), first.header("x-deck-hash"));
+    assert_eq!(deck_memo_hits(&server), 0.0);
+
+    server.stop().unwrap();
+}
+
+#[test]
+fn byte_identical_repeats_skip_the_parser() {
+    let server = Server::start(test_config()).unwrap();
+    let addr = server.local_addr();
+
+    let first = client::post(addr, "/check", DECK).unwrap();
+    assert_eq!(first.status, 200, "body: {}", first.body);
+    assert_eq!(deck_memo_hits(&server), 0.0);
+
+    // The same bytes: the deck and its hash come from the memo, and the
+    // verdict from the memory tier, as before.
+    let repeat = client::post(addr, "/check", DECK).unwrap();
+    assert_eq!(repeat.status, 200);
+    assert_eq!(repeat.header("x-cache"), Some("hit"));
+    assert_eq!(repeat.body, first.body);
+    assert_eq!(repeat.header("x-deck-hash"), first.header("x-deck-hash"));
+    assert_eq!(deck_memo_hits(&server), 1.0);
+
+    // One byte of one value differs: parsed afresh, a deck of its own.
+    let changed = DECK.replace("R2 out 0 10", "R2 out 0 11");
+    assert_eq!(changed.len(), DECK.len());
+    let other = client::post(addr, "/check", &changed).unwrap();
+    assert_eq!(other.status, 200, "body: {}", other.body);
+    assert_eq!(other.header("x-cache"), Some("miss"));
+    assert_ne!(other.header("x-deck-hash"), first.header("x-deck-hash"));
+    assert_eq!(deck_memo_hits(&server), 1.0);
 
     server.stop().unwrap();
 }
@@ -303,7 +347,8 @@ fn parse_errors_return_400_with_line_and_column() {
     let server = Server::start(test_config()).unwrap();
     let addr = server.local_addr();
 
-    let bad = client::post(addr, "/check", "R1 in 0 nonsense\n.port in\n.end\n").unwrap();
+    let malformed = "R1 in 0 nonsense\n.port in\n.end\n";
+    let bad = client::post(addr, "/check", malformed).unwrap();
     assert_eq!(bad.status, 400);
     assert!(
         bad.body.contains("\"kind\":\"parse\""),
@@ -312,6 +357,18 @@ fn parse_errors_return_400_with_line_and_column() {
     );
     assert!(bad.body.contains("\"line\":1"), "body: {}", bad.body);
     assert!(bad.body.contains("\"column\":"), "body: {}", bad.body);
+
+    // A malformed deck never enters the memo of parsed bodies: posted
+    // again, it is parsed again and fails at the same line and column.
+    let again = client::post(addr, "/check", malformed).unwrap();
+    assert_eq!(again.status, 400);
+    let position = |body: &str| {
+        let value = json::parse(body).unwrap();
+        let field = |key: &str| value.get(key).and_then(json::Value::as_f64);
+        (field("line"), field("column"))
+    };
+    assert_eq!(position(&again.body), position(&bad.body));
+    assert_eq!(deck_memo_hits(&server), 0.0);
 
     let unknown_method = client::post(addr, "/check?method=magic", DECK).unwrap();
     assert_eq!(unknown_method.status, 400);

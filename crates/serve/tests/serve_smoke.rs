@@ -94,7 +94,8 @@ fn daemon_serves_the_corpus_and_shuts_down_gracefully() {
     let computed_after_first = stat(&stats, "computed");
     assert_eq!(computed_after_first, corpus.len() as u64);
 
-    // Pass 2: 100% cache hits, zero new computations, byte-identical bodies.
+    // Pass 2: 100% cache hits, zero new computations, byte-identical bodies,
+    // and every deck from the memo of parsed request bodies.
     for ((path, text), first_body) in corpus.iter().zip(&bodies) {
         let reply = client::post(addr, "/check", text).unwrap();
         assert_eq!(reply.status, 200);
@@ -104,6 +105,7 @@ fn daemon_serves_the_corpus_and_shuts_down_gracefully() {
     let stats = client::get(addr, "/stats").unwrap().body;
     assert_eq!(stat(&stats, "computed"), computed_after_first);
     assert_eq!(stat(&stats, "hits_memory"), corpus.len() as u64);
+    assert_eq!(stat(&stats, "deck_memo_hits"), corpus.len() as u64);
     assert!(
         stats.contains("\"check_latency_ms\":{\"count\":"),
         "stats lost the server-side latency quantiles: {stats}"
@@ -137,6 +139,12 @@ fn daemon_serves_the_corpus_and_shuts_down_gracefully() {
         .body
         .contains("# TYPE ds_serve_check_seconds histogram"));
     assert!(metrics.body.contains("# TYPE ds_serve_queue_depth gauge"));
+    // Pass 2 and the traced repeat took their decks from the memo.
+    let memo_line = format!("ds_serve_deck_memo_hits_total {}", corpus.len() + 1);
+    assert!(
+        metrics.body.lines().any(|l| l == memo_line),
+        "expected `{memo_line}` in /metrics"
+    );
     let stage_count_line = metrics
         .body
         .lines()
